@@ -198,6 +198,10 @@ class LocalController final : public sim::Actor {
   // link frees up).
   bool migration_active_ = false;
   std::deque<std::pair<hypervisor::VmId, net::Address>> migration_queue_;
+
+  // Counters bumped once per LC per period, looked up once.
+  telemetry::Cached<telemetry::Counter> heartbeats_metric_{"lc.heartbeats"};
+  telemetry::Cached<telemetry::Counter> monitor_reports_metric_{"lc.monitor_reports"};
 };
 
 }  // namespace snooze::core

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <type_traits>
+#include <typeinfo>
 
 #include "telemetry/context.hpp"
 
@@ -42,14 +44,18 @@ struct Message {
 using MsgPtr = std::shared_ptr<const Message>;
 
 /// Downcast helper: returns nullptr when the payload is of a different type.
+/// An exact-type check (one typeinfo comparison, no hierarchy walk), which
+/// is only a correct downcast when nothing can derive from T — hence every
+/// wire message type must be final.
 template <typename T>
 const T* msg_cast(const Message& msg) {
-  return dynamic_cast<const T*>(&msg);
+  static_assert(std::is_final_v<T>, "wire message types must be final");
+  return typeid(msg) == typeid(T) ? static_cast<const T*>(&msg) : nullptr;
 }
 
 template <typename T>
 const T* msg_cast(const MsgPtr& msg) {
-  return msg ? dynamic_cast<const T*>(msg.get()) : nullptr;
+  return msg ? msg_cast<T>(*msg) : nullptr;
 }
 
 /// Envelope delivered to an endpoint.

@@ -8,15 +8,25 @@ namespace snooze::net {
 Network::Network(sim::Engine& engine, LatencyModel latency)
     : engine_(engine), latency_(latency) {}
 
+Network::Node& Network::node(Address addr) {
+  if (addr >= nodes_.size()) nodes_.resize(static_cast<std::size_t>(addr) + 1);
+  return nodes_[addr];
+}
+
 void Network::attach(Address addr, Endpoint* endpoint) {
   assert(addr != kNullAddress && endpoint != nullptr);
-  endpoints_[addr] = endpoint;
+  node(addr).endpoint = endpoint;
   next_address_ = std::max(next_address_, addr + 1);
 }
 
-void Network::detach(Address addr) { endpoints_.erase(addr); }
+void Network::detach(Address addr) {
+  if (addr < nodes_.size()) nodes_[addr].endpoint = nullptr;
+}
 
-bool Network::attached(Address addr) const { return endpoints_.count(addr) > 0; }
+bool Network::attached(Address addr) const {
+  const Node* n = find_node(addr);
+  return n != nullptr && n->endpoint != nullptr;
+}
 
 Address Network::allocate_address() { return next_address_++; }
 
@@ -88,48 +98,35 @@ void Network::complete_delivery(std::uint32_t index) {
 
   // Re-check at delivery time: the receiver may have crashed or detached
   // while the message was in flight.
-  if (down_.count(env.to)) {
-    ++stats_.messages_dropped;
-    if (counters_.dropped != nullptr) counters_.dropped->inc();
-    return;
-  }
-  const auto it = endpoints_.find(env.to);
-  if (it == endpoints_.end()) {
+  Node* receiver = env.to < nodes_.size() ? &nodes_[env.to] : nullptr;
+  if (receiver == nullptr || receiver->down || receiver->endpoint == nullptr) {
     ++stats_.messages_dropped;
     if (counters_.dropped != nullptr) counters_.dropped->inc();
     return;
   }
   ++stats_.messages_delivered;
-  ++per_node_[env.to].messages_delivered;
+  ++receiver->stats.messages_delivered;
   if (counters_.delivered != nullptr) counters_.delivered->inc();
-  it->second->on_message(env);
+  receiver->endpoint->on_message(env);
 }
 
 bool Network::send(Address from, Address to, MsgPtr msg) {
   assert(msg != nullptr);
-  if (down_.count(from)) return false;
+  if (!node_up(from)) return false;
   const std::size_t size = msg->wire_size();
   ++stats_.messages_sent;
   stats_.bytes_sent += size;
-  auto& sender = per_node_[from];
+  TrafficStats& sender = node(from).stats;
   ++sender.messages_sent;
   sender.bytes_sent += size;
-  auto& link = link_traffic_[link_key(from, to)];
-  ++link.messages;
-  link.bytes += size;
   if (counters_.sent != nullptr) {
     counters_.sent->inc();
     counters_.bytes->inc(size);
   }
 
-  LinkFaults faults;
-  if (any_faults_) {
-    faults = effective_faults(from, to);
-  } else {
-    faults.drop = 0.0;
-    faults.reorder_delay = 0.0;
-  }
-  if (down_.count(to) || blocked(from, to) ||
+  // A default LinkFaults is inert: no loss, duplication, reordering or delay.
+  const LinkFaults faults = any_faults_ ? effective_faults(from, to) : LinkFaults{};
+  if (!node_up(to) || blocked(from, to) ||
       (faults.drop > 0.0 && engine_.rng().chance(faults.drop))) {
     ++stats_.messages_dropped;
     ++sender.messages_dropped;
@@ -192,22 +189,19 @@ std::size_t Network::group_size(GroupId group) const {
   return it == groups_.end() ? 0 : it->second.size();
 }
 
-void Network::set_node_up(Address addr, bool up) {
-  if (up) {
-    down_.erase(addr);
-  } else {
-    down_.insert(addr);
-  }
-}
+void Network::set_node_up(Address addr, bool up) { node(addr).down = !up; }
 
-bool Network::node_up(Address addr) const { return down_.count(addr) == 0; }
+bool Network::node_up(Address addr) const {
+  const Node* n = find_node(addr);
+  return n == nullptr || !n->down;
+}
 
 void Network::set_partitions(std::vector<std::set<Address>> partitions) {
   partitions_ = std::move(partitions);
 }
 
 bool Network::reachable(Address from, Address to) const {
-  return down_.count(from) == 0 && down_.count(to) == 0 && !blocked(from, to);
+  return node_up(from) && node_up(to) && !blocked(from, to);
 }
 
 void Network::update_fault_flag() {
@@ -231,22 +225,12 @@ void Network::clear_link_faults(Address from, Address to) {
   update_fault_flag();
 }
 
-LinkFaults Network::link_faults(Address from, Address to) const {
-  const auto it = link_faults_.find({from, to});
-  return it == link_faults_.end() ? LinkFaults{} : it->second;
-}
-
 void Network::set_node_faults(Address node, LinkFaults faults) {
   if (faults.clear()) {
     node_faults_.erase(node);
   } else {
     node_faults_[node] = faults;
   }
-  update_fault_flag();
-}
-
-void Network::clear_node_faults(Address node) {
-  node_faults_.erase(node);
   update_fault_flag();
 }
 
@@ -258,14 +242,13 @@ void Network::clear_all_faults() {
 }
 
 TrafficStats Network::node_stats(Address addr) const {
-  const auto it = per_node_.find(addr);
-  return it == per_node_.end() ? TrafficStats{} : it->second;
+  const Node* n = find_node(addr);
+  return n == nullptr ? TrafficStats{} : n->stats;
 }
 
 void Network::reset_stats() {
   stats_ = TrafficStats{};
-  per_node_.clear();
-  link_traffic_.clear();
+  for (Node& n : nodes_) n.stats = TrafficStats{};
 }
 
 void Network::set_telemetry(telemetry::Telemetry* telemetry) {

@@ -12,7 +12,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -42,13 +41,6 @@ struct TrafficStats {
   std::uint64_t messages_dropped = 0;
   std::uint64_t messages_duplicated = 0;  ///< extra copies created by faults
   std::uint64_t bytes_sent = 0;
-};
-
-/// Offered traffic on one directed link (counted at the send point, before
-/// loss is decided, so it reflects what the sender put on the wire).
-struct LinkTraffic {
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
 };
 
 /// Fault knobs applied to traffic on a node or a directed link. Several
@@ -117,11 +109,9 @@ class Network {
   /// setting for that link; a clear LinkFaults value removes the entry.
   void set_link_faults(Address from, Address to, LinkFaults faults);
   void clear_link_faults(Address from, Address to);
-  [[nodiscard]] LinkFaults link_faults(Address from, Address to) const;
 
   /// Fault knobs applied to every message a node sends or receives.
   void set_node_faults(Address node, LinkFaults faults);
-  void clear_node_faults(Address node);
 
   /// Remove every per-link and per-node fault entry (global drop and
   /// partitions are separate knobs and stay untouched).
@@ -138,14 +128,6 @@ class Network {
   // --- accounting ---------------------------------------------------------
   [[nodiscard]] const TrafficStats& stats() const { return stats_; }
   [[nodiscard]] TrafficStats node_stats(Address addr) const;
-  /// Offered traffic per directed link, keyed (from << 32) | to.
-  [[nodiscard]] const std::unordered_map<std::uint64_t, LinkTraffic>& link_traffic()
-      const {
-    return link_traffic_;
-  }
-  [[nodiscard]] static std::uint64_t link_key(Address from, Address to) {
-    return (static_cast<std::uint64_t>(from) << 32) | to;
-  }
   void reset_stats();
 
   /// Attach the telemetry sink all endpoints on this network report through.
@@ -168,6 +150,22 @@ class Network {
     std::uint32_t next_free = kNoDelivery;
   };
 
+  /// Per-address state, kept in one vector indexed by address: addresses
+  /// are small dense integers handed out by allocate_address(). An address
+  /// past the end of the table reads as unattached, up and silent.
+  struct Node {
+    Endpoint* endpoint = nullptr;
+    bool down = false;
+    TrafficStats stats;
+  };
+
+  /// The entry for `addr`, or nullptr past the end of the table.
+  [[nodiscard]] const Node* find_node(Address addr) const {
+    return addr < nodes_.size() ? &nodes_[addr] : nullptr;
+  }
+  /// The entry for `addr`, growing the table to reach it.
+  Node& node(Address addr);
+
   [[nodiscard]] bool blocked(Address from, Address to) const;
   /// Combined fault view for one message (global + nodes + link).
   [[nodiscard]] LinkFaults effective_faults(Address from, Address to) const;
@@ -178,8 +176,7 @@ class Network {
   sim::Engine& engine_;
   LatencyModel latency_;
   Address next_address_ = 1;
-  std::unordered_map<Address, Endpoint*> endpoints_;
-  std::set<Address> down_;
+  std::vector<Node> nodes_;
   std::map<GroupId, std::set<Address>> groups_;
   std::vector<std::set<Address>> partitions_;
   double drop_probability_ = 0.0;
@@ -198,8 +195,6 @@ class Network {
   /// Reused multicast membership snapshot (one allocation, not one per send).
   std::vector<Address> multicast_scratch_;
   TrafficStats stats_;
-  std::unordered_map<Address, TrafficStats> per_node_;
-  std::unordered_map<std::uint64_t, LinkTraffic> link_traffic_;
 
   telemetry::Telemetry* telemetry_ = nullptr;
   /// Cached registry handles: send() is the hottest path in the simulator,

@@ -1,8 +1,8 @@
 #include "net/rpc.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
+#include <limits>
 
 #include "net/pool.hpp"
 
@@ -66,17 +66,24 @@ void RpcEndpoint::multicast(GroupId group, MsgPtr msg) {
 void RpcEndpoint::call(Address to, MsgPtr request, sim::Time timeout, ReplyCallback cb) {
   assert(cb);
   if (!up_) return;
+  send_attempt(to, request, timeout, 0, std::move(cb), {});
+}
+
+std::uint64_t RpcEndpoint::send_attempt(Address to, const MsgPtr& request,
+                                        sim::Time timeout, std::uint64_t group_id,
+                                        ReplyCallback cb,
+                                        std::function<void()> on_timeout) {
   auto wrap = make_message<RpcWrap>();
   wrap->rpc_id = next_rpc_id_++;
   wrap->is_reply = false;
-  wrap->inner = std::move(request);
-  wrap->epoch = wrap->inner->epoch;  // the fencing token rides the envelope
+  wrap->inner = request;
+  wrap->epoch = request->epoch;  // the fencing token rides the envelope
 
-  // One rpc span per attempt (multi-attempt calls re-enter here), parented
-  // under the request's context — a retried RPC shows up as sibling attempt
-  // spans, the timed-out ones marked status=timeout.
+  // One rpc span per attempt, parented under the request's context — a
+  // retried RPC shows up as sibling attempt spans, the timed-out ones marked
+  // status=timeout.
   telemetry::Telemetry* tel = network_.telemetry();
-  telemetry::count(tel, "rpc.calls");
+  telemetry::count(tel, calls_metric_);
   const telemetry::SpanContext span = telemetry::begin_span(
       tel, wrap->inner->ctx, "rpc:" + std::string(wrap->inner->type()), name_);
   wrap->ctx = span.valid() ? span : wrap->inner->ctx;
@@ -87,47 +94,6 @@ void RpcEndpoint::call(Address to, MsgPtr request, sim::Time timeout, ReplyCallb
   pending.span = span;
   pending.started = engine_.now();
   pending.to = to;
-  auto token = alive_;
-  pending.timeout_event = engine_.schedule(timeout, [this, token, id] {
-    if (!*token) return;
-    const auto it = pending_.find(id);
-    if (it == pending_.end()) return;
-    auto callback = std::move(it->second.cb);
-    telemetry::Telemetry* t = network_.telemetry();
-    telemetry::count(t, "rpc.timeouts");
-    telemetry::end_span(t, it->second.span, "timeout");
-    note_timeout(it->second.to);
-    pending_.erase(it);
-    callback(false, nullptr);
-  });
-  pending_.emplace(id, std::move(pending));
-  network_.send(address_, to, std::move(wrap));
-}
-
-// ---------------------------------------------------------------------------
-// Call groups (retries + hedges)
-// ---------------------------------------------------------------------------
-
-std::uint64_t RpcEndpoint::send_attempt(Address to, const MsgPtr& request,
-                                        sim::Time timeout, std::uint64_t group_id,
-                                        std::function<void()> on_timeout) {
-  auto wrap = make_message<RpcWrap>();
-  wrap->rpc_id = next_rpc_id_++;
-  wrap->is_reply = false;
-  wrap->inner = request;
-  wrap->epoch = request->epoch;
-
-  telemetry::Telemetry* tel = network_.telemetry();
-  telemetry::count(tel, "rpc.calls");
-  const telemetry::SpanContext span = telemetry::begin_span(
-      tel, wrap->inner->ctx, "rpc:" + std::string(wrap->inner->type()), name_);
-  wrap->ctx = span.valid() ? span : wrap->inner->ctx;
-
-  const std::uint64_t id = wrap->rpc_id;
-  PendingCall pending;
-  pending.span = span;
-  pending.started = engine_.now();
-  pending.to = to;
   pending.group = group_id;
   auto token = alive_;
   pending.timeout_event =
@@ -135,23 +101,33 @@ std::uint64_t RpcEndpoint::send_attempt(Address to, const MsgPtr& request,
     if (!*token) return;
     const auto it = pending_.find(id);
     if (it == pending_.end()) return;
+    telemetry::Telemetry* t = network_.telemetry();
+    telemetry::count(t, "rpc.timeouts");
+    telemetry::end_span(t, it->second.span, "timeout");
+    note_timeout(it->second.to);
+    if (it->second.group == 0) {
+      auto callback = std::move(it->second.cb);
+      pending_.erase(it);
+      callback(false, nullptr);
+      return;
+    }
     // Soft timeout: the attempt no longer paces the call, but its pending
     // entry stays alive — a slow (not lost) reply can still win the group
     // until the group itself resolves.
     it->second.timed_out = true;
     it->second.timeout_event = 0;
-    telemetry::Telemetry* t = network_.telemetry();
-    telemetry::count(t, "rpc.timeouts");
-    telemetry::end_span(t, it->second.span, "timeout");
     it->second.span = {};
-    note_timeout(it->second.to);
     on_timeout();
   });
   pending_.emplace(id, std::move(pending));
-  groups_[group_id].attempts.push_back(id);
+  if (group_id != 0) groups_[group_id].attempts.push_back(id);
   network_.send(address_, to, std::move(wrap));
   return id;
 }
+
+// ---------------------------------------------------------------------------
+// Call groups (retries + hedges)
+// ---------------------------------------------------------------------------
 
 void RpcEndpoint::complete_group(std::uint64_t group_id, bool ok, const MsgPtr& reply,
                                  std::uint64_t winner) {
@@ -216,7 +192,7 @@ void RpcEndpoint::attempt_call(Address to, MsgPtr request, sim::Time timeout,
                                const RetryPolicy& policy, int attempt,
                                sim::Time prev_backoff, sim::Time deadline,
                                std::uint64_t group_id) {
-  send_attempt(to, request, timeout, group_id,
+  send_attempt(to, request, timeout, group_id, {},
                [this, to, request, timeout, policy, attempt, prev_backoff, deadline,
                 group_id] {
     const auto it = groups_.find(group_id);
@@ -265,7 +241,7 @@ void RpcEndpoint::call_with_hedging(Address to, MsgPtr request, sim::Time timeou
   group.hedged = true;
   groups_.emplace(group_id, std::move(group));
   const std::uint64_t primary =
-      send_attempt(to, request, timeout, group_id,
+      send_attempt(to, request, timeout, group_id, {},
                    [this, group_id] { finish_if_exhausted(group_id); });
   groups_[group_id].primary = primary;
   const sim::Time delay = hedge_delay(to, policy);
@@ -279,9 +255,24 @@ void RpcEndpoint::call_with_hedging(Address to, MsgPtr request, sim::Time timeou
     if (it == groups_.end()) return;  // the primary already answered
     it->second.pending_event = 0;
     telemetry::count(network_.telemetry(), "rpc.hedges");
-    send_attempt(to, request, timeout - delay, group_id,
+    send_attempt(to, request, timeout - delay, group_id, {},
                  [this, group_id] { finish_if_exhausted(group_id); });
   });
+}
+
+float ring_p99(std::span<const float> samples) {
+  assert(!samples.empty() && samples.size() <= kLatencyRing);
+  float first = samples[0];
+  float second = -std::numeric_limits<float>::infinity();
+  for (const float x : samples.subspan(1)) {
+    if (x > first) {
+      second = first;
+      first = x;
+    } else if (x > second) {
+      second = x;
+    }
+  }
+  return samples.size() == 1 ? first : second;
 }
 
 sim::Time RpcEndpoint::hedge_delay(Address to, const HedgePolicy& policy) const {
@@ -289,11 +280,8 @@ sim::Time RpcEndpoint::hedge_delay(Address to, const HedgePolicy& policy) const 
   sim::Time p99 = policy.min_delay;
   const auto it = dest_stats_.find(to);
   if (it != dest_stats_.end() && it->second.count > 0) {
-    const std::size_t n = std::min(it->second.count, DestStats::kRing);
-    std::array<float, DestStats::kRing> sorted{};
-    std::copy_n(it->second.latency.begin(), n, sorted.begin());
-    std::sort(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(n));
-    p99 = sorted[static_cast<std::size_t>(0.99 * static_cast<double>(n - 1))];
+    const std::size_t n = std::min(it->second.count, kLatencyRing);
+    p99 = ring_p99(std::span<const float>(it->second.latency.data(), n));
   }
   return std::clamp(p99, policy.min_delay, policy.max_delay);
 }
@@ -304,7 +292,7 @@ sim::Time RpcEndpoint::hedge_delay(Address to, const HedgePolicy& policy) const 
 
 void RpcEndpoint::note_reply(Address to, sim::Time latency) {
   DestStats& d = dest_stats_[to];
-  d.latency[d.count % DestStats::kRing] = static_cast<float>(latency);
+  d.latency[d.count % kLatencyRing] = static_cast<float>(latency);
   ++d.count;
   d.consecutive_timeouts = 0;
   if (d.breaker != DestStats::Breaker::kClosed) {
@@ -421,23 +409,20 @@ void RpcEndpoint::on_message(const Envelope& env) {
   engine_.cancel(it->second.timeout_event);
   telemetry::Telemetry* tel = network_.telemetry();
   const sim::Time latency = engine_.now() - it->second.started;
-  telemetry::observe(tel, "rpc.latency", latency);
+  telemetry::observe(tel, latency_metric_, latency);
   note_reply(it->second.to, latency);
-  if (it->second.group == 0) {
-    auto callback = std::move(it->second.cb);
-    telemetry::end_span(tel, it->second.span, "ok");
-    pending_.erase(it);
-    callback(true, wrap->inner);
-    return;
-  }
-  // Grouped attempt: the first reply — even one arriving after its own soft
-  // timeout — resolves the whole group and cancels any scheduled retry.
+  // The first reply of a grouped attempt — even one arriving after its own
+  // soft timeout — resolves the whole group and cancels any scheduled retry.
+  auto callback = std::move(it->second.cb);
   const std::uint64_t group_id = it->second.group;
-  const std::uint64_t id = wrap->rpc_id;
   if (it->second.timed_out) telemetry::count(tel, "rpc.late_replies_won");
   telemetry::end_span(tel, it->second.span, "ok");
   pending_.erase(it);
-  complete_group(group_id, true, wrap->inner, id);
+  if (group_id == 0) {
+    callback(true, wrap->inner);
+  } else {
+    complete_group(group_id, true, wrap->inner, wrap->rpc_id);
+  }
 }
 
 }  // namespace snooze::net

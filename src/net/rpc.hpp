@@ -18,6 +18,7 @@
 
 #include <array>
 #include <functional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -104,6 +105,16 @@ struct HedgePolicy {
   sim::Time min_delay = 0.02;
   sim::Time max_delay = 2.0;
 };
+
+/// Latency samples kept per destination for the hedge delay.
+inline constexpr std::size_t kLatencyRing = 32;
+
+/// p99 of a latency ring holding 1 <= n <= kLatencyRing samples, defined as
+/// element floor(0.99 * (n - 1)) of the sorted samples. For n >= 2 and
+/// n <= 101 that index is n - 2: the answer is the second-largest sample
+/// (the only one when n == 1), found by one linear top-2 scan instead of a
+/// copy and a sort.
+[[nodiscard]] float ring_p99(std::span<const float> samples);
 
 /// Per-destination circuit-breaker knobs (one config per endpoint).
 struct BreakerConfig {
@@ -202,9 +213,8 @@ class RpcEndpoint final : public Endpoint {
 
   /// Latency history + breaker state for one destination.
   struct DestStats {
-    static constexpr std::size_t kRing = 32;
-    std::array<float, kRing> latency{};
-    std::size_t count = 0;  ///< total samples (ring index = count % kRing)
+    std::array<float, kLatencyRing> latency{};
+    std::size_t count = 0;  ///< total samples (ring index = count % kLatencyRing)
     int consecutive_timeouts = 0;
     enum class Breaker { kClosed, kOpen, kHalfOpen } breaker = Breaker::kClosed;
     sim::Time open_until = 0.0;
@@ -214,10 +224,12 @@ class RpcEndpoint final : public Endpoint {
   void attempt_call(Address to, MsgPtr request, sim::Time timeout,
                     const RetryPolicy& policy, int attempt, sim::Time prev_backoff,
                     sim::Time deadline, std::uint64_t group_id);
-  /// Send one grouped attempt; `on_timeout` runs at its soft timeout (the
-  /// pending entry stays alive so a late reply can still win the group).
+  /// Send one attempt. A plain call (group 0) resolves through `cb` at its
+  /// reply or timeout. A grouped attempt runs `on_timeout` at its soft
+  /// timeout; its pending entry stays alive so a late reply can still win.
   std::uint64_t send_attempt(Address to, const MsgPtr& request, sim::Time timeout,
-                             std::uint64_t group_id, std::function<void()> on_timeout);
+                             std::uint64_t group_id, ReplyCallback cb,
+                             std::function<void()> on_timeout);
   /// Resolve a call group exactly once and reap its outstanding attempts.
   void complete_group(std::uint64_t group_id, bool ok, const MsgPtr& reply,
                       std::uint64_t winner);
@@ -248,6 +260,8 @@ class RpcEndpoint final : public Endpoint {
   std::shared_ptr<bool> alive_;
   MessageHandler on_oneway_;
   RequestHandler on_request_;
+  telemetry::Cached<telemetry::Counter> calls_metric_{"rpc.calls"};
+  telemetry::Cached<telemetry::Histogram> latency_metric_{"rpc.latency"};
 };
 
 }  // namespace snooze::net

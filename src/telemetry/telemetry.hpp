@@ -78,6 +78,28 @@ inline void gauge_set(Telemetry* t, std::string_view name, double value) {
   if (t != nullptr) t->metrics().gauge(name).set(value);
 }
 
+/// A counter or histogram looked up once per Telemetry*, for call sites that
+/// fire on every message. Like count()/observe(), the metric is created at
+/// its first use, so exports do not change.
+template <typename Metric>
+struct Cached {
+  std::string_view name;
+  Telemetry* owner = nullptr;
+  Metric* metric = nullptr;
+};
+
+inline void count(Telemetry* t, Cached<Counter>& c) {
+  if (t == nullptr) return;
+  if (t != c.owner) c = {c.name, t, &t->metrics().counter(c.name)};
+  c.metric->inc();
+}
+
+inline void observe(Telemetry* t, Cached<Histogram>& h, double value) {
+  if (t == nullptr) return;
+  if (t != h.owner) h = {h.name, t, &t->metrics().histogram(h.name)};
+  h.metric->observe(value);
+}
+
 /// Open a child span of `parent`; no-op (invalid context) without telemetry
 /// or when the parent context carries no trace.
 inline SpanContext begin_span(Telemetry* t, const SpanContext& parent,

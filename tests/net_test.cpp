@@ -3,10 +3,15 @@
 // RPC layer (immediate + deferred replies, timeouts, crash semantics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "net/network.hpp"
 #include "net/rpc.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -882,6 +887,173 @@ TEST(RetryPolicy, BackoffGrowsExponentiallyAndClamps) {
   const double jittered = policy.backoff(1, rng);
   EXPECT_GE(jittered, 1.0);
   EXPECT_LE(jittered, 1.5);
+}
+
+// --- dense node table -------------------------------------------------------
+
+TEST_F(NetworkTest, SendPastTheTableIsSentThenDroppedAtDelivery) {
+  EXPECT_FALSE(network.attached(5000));
+  EXPECT_TRUE(network.send(20, 5000, ping()));
+  EXPECT_EQ(network.stats().messages_sent, 1u);
+  EXPECT_EQ(network.node_stats(20).messages_sent, 1u);
+  EXPECT_EQ(network.node_stats(20).bytes_sent, 100u);
+  engine.run();
+  EXPECT_EQ(network.stats().messages_delivered, 0u);
+  EXPECT_EQ(network.stats().messages_dropped, 1u);
+  EXPECT_FALSE(network.attached(5000));
+}
+
+TEST_F(NetworkTest, DetachOrCrashWhileInFlightDropsAndCounts) {
+  Sink a;
+  Sink b;
+  network.attach(10, &a);
+  network.attach(11, &b);
+  network.send(20, 10, ping());
+  network.send(20, 11, ping());
+  engine.schedule(0.5e-3, [&] {
+    network.detach(10);
+    network.set_node_up(11, false);
+  });
+  engine.run();
+  EXPECT_TRUE(a.received.empty());
+  EXPECT_TRUE(b.received.empty());
+  EXPECT_EQ(network.stats().messages_sent, 2u);
+  EXPECT_EQ(network.stats().messages_dropped, 2u);
+  EXPECT_EQ(network.stats().messages_delivered, 0u);
+  EXPECT_EQ(network.node_stats(10).messages_delivered, 0u);
+  EXPECT_EQ(network.node_stats(11).messages_delivered, 0u);
+}
+
+TEST_F(NetworkTest, DownBeforeAttachStaysDownUntilRaised) {
+  network.set_node_up(30, false);
+  EXPECT_FALSE(network.node_up(30));
+  EXPECT_FALSE(network.attached(30));
+  Sink sink;
+  network.attach(30, &sink);
+  EXPECT_TRUE(network.attached(30));
+  EXPECT_FALSE(network.node_up(30));
+  network.send(20, 30, ping(1));
+  engine.run();
+  EXPECT_TRUE(sink.received.empty());
+  network.set_node_up(30, true);
+  network.send(20, 30, ping(2));
+  engine.run();
+  ASSERT_EQ(sink.received.size(), 1u);
+  EXPECT_EQ(net::msg_cast<Ping>(sink.received[0].payload)->value, 2);
+}
+
+TEST_F(NetworkTest, UnknownAddressReadsUpUnattachedAndSilent) {
+  Sink sink;
+  network.attach(10, &sink);
+  for (const Address addr : {Address{3}, Address{4096}, Address{0xFFFFFFF0u}}) {
+    EXPECT_TRUE(network.node_up(addr));
+    EXPECT_FALSE(network.attached(addr));
+    const net::TrafficStats st = network.node_stats(addr);
+    EXPECT_EQ(st.messages_sent, 0u);
+    EXPECT_EQ(st.messages_delivered, 0u);
+    EXPECT_EQ(st.messages_dropped, 0u);
+    EXPECT_EQ(st.messages_duplicated, 0u);
+    EXPECT_EQ(st.bytes_sent, 0u);
+  }
+}
+
+TEST_F(NetworkTest, ResetStatsZeroesEveryNode) {
+  Sink a;
+  Sink b;
+  network.attach(1, &a);
+  network.attach(2, &b);
+  network.set_node_up(9, false);
+  network.send(1, 2, ping());
+  network.send(2, 1, ping());
+  network.send(3, 9, ping());  // dropped at the source: counted on node 3
+  engine.run();
+  ASSERT_EQ(network.node_stats(3).messages_dropped, 1u);
+  network.reset_stats();
+  for (Address addr = 0; addr < 12; ++addr) {
+    const net::TrafficStats st = network.node_stats(addr);
+    EXPECT_EQ(st.messages_sent + st.messages_delivered + st.messages_dropped +
+                  st.messages_duplicated + st.bytes_sent,
+              0u)
+        << "address " << addr;
+  }
+  // Topology and liveness survive a stats reset.
+  EXPECT_TRUE(network.attached(1));
+  EXPECT_FALSE(network.node_up(9));
+  network.send(1, 2, ping());
+  engine.run();
+  EXPECT_EQ(b.received.size(), 2u);
+  EXPECT_EQ(network.node_stats(2).messages_delivered, 1u);
+}
+
+TEST_F(NetworkTest, AttachAtLargeAddressGrowsTable) {
+  constexpr Address kFar = 100000;
+  Sink sink;
+  network.attach(kFar, &sink);
+  EXPECT_TRUE(network.attached(kFar));
+  EXPECT_FALSE(network.attached(kFar - 1));
+  EXPECT_GT(network.allocate_address(), kFar);
+  network.send(1, kFar, ping(4));
+  engine.run();
+  ASSERT_EQ(sink.received.size(), 1u);
+  EXPECT_EQ(network.node_stats(kFar).messages_delivered, 1u);
+}
+
+// --- message casts and the hedge p99 -------------------------------------------
+
+TEST(MsgCast, ExactTypeOrNull) {
+  const MsgPtr p = ping(3);
+  ASSERT_NE(net::msg_cast<Ping>(p), nullptr);
+  EXPECT_EQ(net::msg_cast<Ping>(p), p.get());
+  EXPECT_EQ(net::msg_cast<Ping>(*p)->value, 3);
+  EXPECT_EQ(net::msg_cast<Pong>(p), nullptr);
+  EXPECT_EQ(net::msg_cast<Pong>(*p), nullptr);
+  EXPECT_EQ(net::msg_cast<net::RpcWrap>(p), nullptr);
+  EXPECT_EQ(net::msg_cast<Ping>(MsgPtr{}), nullptr);
+}
+
+/// The definition ring_p99 replaced: copy, sort, index floor(0.99 (n - 1)).
+float sorted_p99(std::span<const float> samples) {
+  std::vector<float> sorted(samples.begin(), samples.end());
+  std::sort(sorted.begin(), sorted.end());
+  return sorted[static_cast<std::size_t>(0.99 * static_cast<double>(sorted.size() - 1))];
+}
+
+TEST(RingP99, MatchesCopySortIndexOnRandomRings) {
+  util::Rng rng(20240611);
+  const std::vector<float> few = {0.001f, 0.002f, 0.002f, 0.5f};
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Feed the ring exactly like the per-destination latency history does,
+    // including wrapped histories longer than the ring.
+    std::array<float, net::kLatencyRing> ring{};
+    const auto count = rng.uniform_int<std::size_t>(1, 3 * net::kLatencyRing);
+    const int mode = trial % 3;  // continuous, heavy ties, all equal
+    for (std::size_t i = 0; i < count; ++i) {
+      float x = 0.25f;
+      if (mode == 0) x = static_cast<float>(rng.uniform(0.0, 2.0));
+      if (mode == 1) x = rng.pick(std::span<const float>(few));
+      ring[i % net::kLatencyRing] = x;
+    }
+    const std::size_t n = std::min(count, net::kLatencyRing);
+    const std::span<const float> samples(ring.data(), n);
+    ASSERT_EQ(net::ring_p99(samples), sorted_p99(samples))
+        << "trial " << trial << " count " << count;
+  }
+}
+
+TEST(RingP99, EverySizeUpToTheRing) {
+  for (std::size_t n = 1; n <= net::kLatencyRing; ++n) {
+    // Strictly increasing, decreasing and with a duplicated maximum.
+    std::vector<float> up(n), down(n), dup(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      up[i] = static_cast<float>(i + 1);
+      down[i] = static_cast<float>(n - i);
+      dup[i] = static_cast<float>(i % 3);
+    }
+    if (n >= 2) dup[n - 1] = dup[0] = 9.0f;
+    for (const auto* v : {&up, &down, &dup}) {
+      EXPECT_EQ(net::ring_p99(*v), sorted_p99(*v)) << "n=" << n;
+    }
+  }
 }
 
 }  // namespace
