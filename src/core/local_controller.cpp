@@ -92,7 +92,9 @@ void LocalController::handle_gl_heartbeat(const GlHeartbeat& hb) {
   if (hb.epoch != 0 && hb.epoch < gl_epoch_seen_) return;
   gl_epoch_seen_ = std::max(gl_epoch_seen_, hb.epoch);
   gl_ = hb.gl;
-  if (state_ != State::kDiscovering) return;
+  // A node still suspending or resuming cannot ask for an assignment; it
+  // stays discovering so the next heartbeat after it serves again retries.
+  if (state_ != State::kDiscovering || !serving()) return;
   state_ = State::kJoining;
   request_assignment();
 }

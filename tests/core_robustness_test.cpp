@@ -123,6 +123,62 @@ TEST(Partition, IsolatedLcRejoinsAfterHeal) {
   EXPECT_TRUE(lc.assigned());
 }
 
+// A discovering LC that hears the GL while it is still resuming from suspend
+// must not strand itself half-joined: it can only ask for an assignment once
+// it serves again, so it stays discovering and the next GL heartbeat carries
+// it through assignment and join. A minimal GL and GM answer the two RPCs.
+TEST(Rejoin, LcResumingDuringGlHeartbeatJoinsOnceServing) {
+  sim::Engine engine(5);
+  net::Network network(engine);
+  constexpr net::GroupId kGlGroup = 1;
+  hypervisor::HostSpec host;
+  host.name = "lc0";
+  LocalController lc(engine, network, host, SnoozeConfig{}, kGlGroup);
+  net::RpcEndpoint gl(engine, network, network.allocate_address(), "gl");
+  net::RpcEndpoint gm(engine, network, network.allocate_address(), "gm");
+  gl.set_request_handler([&](const net::Envelope& env, net::Responder r) {
+    if (net::msg_cast<AssignLcRequest>(env.payload) == nullptr) return;
+    auto resp = std::make_shared<AssignLcResponse>();
+    resp->ok = true;
+    resp->gm = gm.address();
+    r.respond(resp);
+  });
+  gm.set_request_handler([&](const net::Envelope& env, net::Responder r) {
+    if (net::msg_cast<LcJoinRequest>(env.payload) == nullptr) return;
+    auto resp = std::make_shared<LcJoinResponse>();
+    resp->ok = true;
+    resp->heartbeat_group = 2;
+    r.respond(resp);
+  });
+  const auto gl_heartbeat = [&] {
+    auto hb = std::make_shared<GlHeartbeat>();
+    hb->gl = gl.address();
+    hb->epoch = 1;
+    gl.multicast(kGlGroup, hb);
+  };
+  const auto command = [&](net::MsgPtr request) {
+    gm.call(lc.address(), std::move(request), 1.0, [](bool, const net::MsgPtr&) {});
+  };
+
+  lc.start();
+  command(std::make_shared<SuspendRequest>());
+  engine.run_until(host.power.suspend_latency_s + 1.0);
+  ASSERT_TRUE(lc.suspended());
+  command(std::make_shared<WakeupRequest>());
+  engine.run_until(engine.now() + 1.0);
+  ASSERT_EQ(lc.power_state(), energy::PowerState::kResuming);
+
+  gl_heartbeat();  // lands mid-resume: no assignment can be asked for yet
+  engine.run_until(engine.now() + host.power.resume_latency_s);
+  ASSERT_EQ(lc.power_state(), energy::PowerState::kOn);
+  EXPECT_FALSE(lc.assigned());
+
+  gl_heartbeat();  // the first heartbeat after resuming completes the join
+  engine.run_until(engine.now() + 0.5);
+  EXPECT_TRUE(lc.assigned());
+  EXPECT_EQ(lc.gm(), gm.address());
+}
+
 // --- Message loss ---------------------------------------------------------------
 
 TEST(MessageLoss, HierarchyFormsUnderFivePercentLoss) {
