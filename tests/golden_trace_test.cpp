@@ -44,6 +44,12 @@ struct Scenario {
   bool pin_incidents = false;
 };
 
+// gtest lists each case with its printed GetParam(). The default printer dumps
+// the struct's raw bytes, pointer addresses included, so the listed names —
+// and the ctest names discovered from them — changed with every build. The
+// case name already carries sc.name, so print only the seed.
+void PrintTo(const Scenario& sc, std::ostream* os) { *os << "seed=" << sc.seed; }
+
 // Scenarios cover the fault vocabulary (GL/GM/LC crashes, isolation, lossy /
 // duplicating / reordering links, global drop, heal-all) across three
 // topology sizes and distinct seeds. Durations are short so the golden files
