@@ -54,9 +54,11 @@ class AcoConsolidation {
 
   [[nodiscard]] const AcoParams& params() const { return params_; }
 
-  /// Pack all VMs of `instance`. The result placement is feasible whenever
-  /// the instance is packable at all into the given hosts (greedy fallback
-  /// inside each ant guarantees completeness if first-fit succeeds).
+  /// Pack all VMs of `instance`. The result is feasible only if some ant
+  /// completes a walk, i.e. places every VM. There is no greedy fallback, so
+  /// an instance that first-fit packs can still come back infeasible when
+  /// every ant's random walk strands a VM (likelier with few ants and
+  /// cycles); `feasible` reports which case occurred.
   [[nodiscard]] AcoResult solve(const Instance& instance) const;
 
  private:

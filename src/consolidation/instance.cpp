@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 namespace snooze::consolidation {
 
@@ -39,11 +38,16 @@ bool Placement::complete() const {
 }
 
 std::size_t Placement::hosts_used() const {
-  std::set<HostIndex> used;
+  HostIndex top = kUnassigned;
+  for (HostIndex h : assignment_) top = std::max(top, h);
+  std::vector<char> seen(static_cast<std::size_t>(top + 1), 0);
+  std::size_t used = 0;
   for (HostIndex h : assignment_) {
-    if (h != kUnassigned) used.insert(h);
+    if (h < 0 || seen[static_cast<std::size_t>(h)]) continue;
+    seen[static_cast<std::size_t>(h)] = 1;
+    ++used;
   }
-  return used.size();
+  return used;
 }
 
 std::vector<ResourceVector> Placement::loads(const Instance& instance) const {

@@ -64,7 +64,8 @@ class Placement {
 
   [[nodiscard]] bool complete() const;
 
-  /// Number of distinct hosts with at least one VM.
+  /// Number of distinct hosts with at least one VM (a seen-bitmap over host
+  /// indices; negative entries such as kUnassigned count as no host).
   [[nodiscard]] std::size_t hosts_used() const;
 
   /// Per-host aggregated load for `instance` (index-aligned with hosts).

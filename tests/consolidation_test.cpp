@@ -68,7 +68,18 @@ TEST(Placement, HostsUsedCountsDistinct) {
   p.assign(1, 2);
   p.assign(2, 0);
   p.assign(3, 5);
-  EXPECT_EQ(p.hosts_used(), 3u);
+  EXPECT_EQ(p.hosts_used(), 3u);  // gaps: hosts 1, 3 and 4 are unused
+
+  Placement repeated(5);
+  for (std::size_t vm = 0; vm < 5; ++vm) repeated.assign(vm, 7);
+  EXPECT_EQ(repeated.hosts_used(), 1u);
+
+  Placement partial(5);  // VMs 0, 2 and 4 stay unassigned
+  partial.assign(1, 0);
+  partial.assign(3, 0);
+  EXPECT_EQ(partial.hosts_used(), 1u);
+  EXPECT_EQ(Placement(3).hosts_used(), 0u);
+  EXPECT_EQ(Placement().hosts_used(), 0u);
 }
 
 TEST(Placement, LoadsAggregatePerHost) {
@@ -291,6 +302,35 @@ TEST(Aco, SingleAntSingleCycleStillFeasible) {
   params.seed = 4;
   const auto result = AcoConsolidation(params).solve(inst);
   EXPECT_TRUE(result.feasible);
+}
+
+TEST(Aco, FeasibleOnlyIfSomeAntCompletesAWalk) {
+  // First-fit packs {0.6, 0.4 | 0.4, 0.6} into the two hosts, but an ant that
+  // opens host 0 with both 0.4s strands a 0.6. There is no greedy fallback:
+  // a lone ant in a single cycle can fail where first-fit succeeds, while the
+  // default colony finds a complete walk.
+  const auto inst = Instance::homogeneous(
+      {{0.6, 0.6, 0.6}, {0.4, 0.4, 0.4}, {0.4, 0.4, 0.4}, {0.6, 0.6, 0.6}}, 2);
+  ASSERT_TRUE(first_fit(inst).feasible(inst));
+
+  bool lone_ant_failed = false;
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    AcoParams lone;
+    lone.ants = 1;
+    lone.cycles = 1;
+    lone.seed = seed;
+    const auto result = AcoConsolidation(lone).solve(inst);
+    if (!result.feasible) {
+      lone_ant_failed = true;
+      EXPECT_EQ(result.hosts_used, 0u);
+      EXPECT_FALSE(result.placement.complete());
+    }
+
+    AcoParams colony;
+    colony.seed = seed;
+    EXPECT_TRUE(AcoConsolidation(colony).solve(inst).feasible) << "seed " << seed;
+  }
+  EXPECT_TRUE(lone_ant_failed);
 }
 
 TEST(Aco, InfeasibleInstanceReported) {
