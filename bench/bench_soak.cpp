@@ -67,7 +67,9 @@ struct Checkpoint {
 
 std::size_t fleet_book_size(SnoozeSystem& system) {
   std::size_t total = 0;
-  for (const auto& gm : system.group_managers()) total += gm->submission_book_size();
+  for (const auto& gm : system.group_managers()) {
+    if (const GroupLeader* gl = gm->leader()) total += gl->submission_book_size();
+  }
   return total;
 }
 

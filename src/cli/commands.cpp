@@ -218,7 +218,7 @@ CommandResult CliSession::cmd_failover(const std::vector<std::string>& args) {
     out << "  " << gm->name() << ": "
         << (gm->alive() ? (gm->is_leader() ? "GL" : "gm") : "down")
         << " epoch=" << gm->epoch();
-    if (gm->reconciling()) out << " [reconciling]";
+    if (gm->leader() != nullptr && gm->leader()->reconciling()) out << " [reconciling]";
     out << "\n";
     stepdowns += gm->counters().stepdowns;
     reconciliations += gm->counters().reconciliations;

@@ -20,7 +20,7 @@ std::string hierarchy_dot(core::SnoozeSystem& system) {
   const std::string gl_node = gl != nullptr ? gl->name() : "no_gl";
   if (gl != nullptr) {
     out << "  \"" << gl_node << "\" [label=\"GL " << gl->name() << "\\n"
-        << gl->known_gm_count() << " GMs\", style=filled, fillcolor=gold];\n";
+        << gl->leader()->known_gm_count() << " GMs\", style=filled, fillcolor=gold];\n";
   } else {
     out << "  \"no_gl\" [label=\"no GL elected\", style=dashed];\n";
   }

@@ -141,14 +141,14 @@ AcoResult AcoConsolidation::solve(const Instance& instance) const {
 
     // Compare local solutions; keep the lowest score (hosts used, plus the
     // weighted interference penalty when the instance carries profiles).
+    // Only an ant that can win pays for the slack tie-break and host count.
     for (auto& solution : solutions) {
       if (!solution.complete()) continue;  // instance not packable by this walk
-      const std::size_t hosts = solution.hosts_used();
       const double solution_score = score(instance, solution);
+      if (have_best && !(solution_score <= best_score)) continue;
       const double slack = packing_slack(instance, solution);
-      if (!have_best || solution_score < best_score ||
-          (solution_score == best_score && slack < best_slack)) {
-        best_hosts = hosts;
+      if (!have_best || solution_score < best_score || slack < best_slack) {
+        best_hosts = solution.hosts_used();
         best_score = solution_score;
         best_slack = slack;
         result.placement = std::move(solution);

@@ -57,13 +57,12 @@ struct SloConfig {
   /// (1 - multiplier) seconds per second of wall time it runs degraded.
   double degraded_vm_seconds_per_min_max = 30.0;
 
-  /// Delta-summary protocol health (NaN — never breaching — in full-summary
-  /// deployments). The delta stream's steady state is one near-empty header
-  /// (~100 bytes) per sending GM per period *regardless of fleet shape*,
-  /// while re-snapshotting adds ~16 bytes per hosted VM — so bytes per
-  /// sending GM per period separates a converged stream from a stuck one at
-  /// any topology (per-LC normalization does not: a healthy 4-LC cluster
-  /// reads higher per LC than a re-snapshotting 200-LC one).
+  /// Summary-protocol health. The delta stream's steady state is one
+  /// near-empty header (~100 bytes) per sending GM per period *regardless
+  /// of fleet shape*, while re-snapshotting adds ~16 bytes per hosted VM —
+  /// so bytes per sending GM per period separates a converged stream from a
+  /// stuck one at any topology (per-LC normalization does not: a healthy
+  /// 4-LC cluster reads higher per LC than a re-snapshotting 200-LC one).
   double summary_bytes_per_gm_period_max = 256.0;
   /// Age of the stalest GM summary at the acting GL. The GL ages a GM out
   /// after gm_summary_period * heartbeat_timeout_factor (7 s at defaults);
@@ -130,14 +129,9 @@ struct SnoozeConfig {
 
   // --- monitoring / estimation ---------------------------------------------
   sim::Time lc_monitor_period = 2.0;     ///< LC -> GM resource monitoring
-  sim::Time gm_summary_period = 2.0;     ///< GM -> GL aggregated summary
-  /// Batched delta summaries (GmSummaryDelta stream) instead of full
-  /// per-period GmSummary messages: O(churn) bytes on the wire, snapshot
-  /// fallback on any ack uncertainty, and a GL-side VM->GM ownership
-  /// inventory that resolves cross-GM duplicate VMs. On by default (the
-  /// golden traces are recorded under this mode); set to false for the
-  /// legacy full-summary wire protocol.
-  bool delta_summaries = true;
+  /// GM -> GL aggregated summary (a GmSummaryDelta stream: O(churn) bytes
+  /// on the wire, snapshot fallback on any ack uncertainty).
+  sim::Time gm_summary_period = 2.0;
   std::size_t estimator_window = 5;      ///< sliding window length (samples)
   /// Window-max is conservative (never under-estimates recent demand);
   /// EWMA is smoother and tracks trends (see core/estimator.hpp).

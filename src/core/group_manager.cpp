@@ -95,13 +95,6 @@ std::size_t GroupManager::vm_count() const {
   return n;
 }
 
-std::vector<GmInfo> GroupManager::gm_infos() const {
-  std::vector<GmInfo> out;
-  out.reserve(gms_.size());
-  for (const auto& [addr, record] : gms_) out.push_back(record.info);
-  return out;
-}
-
 std::vector<LcInfo> GroupManager::lc_infos() const {
   std::vector<LcInfo> out;
   out.reserve(lcs_.size());
@@ -134,8 +127,6 @@ std::vector<LcInfo> GroupManager::lc_infos() const {
 void GroupManager::handle_oneway(const net::Envelope& env) {
   if (const auto* hb = net::msg_cast<GlHeartbeat>(env.payload)) {
     handle_gl_heartbeat(*hb);
-  } else if (const auto* summary = net::msg_cast<GmSummary>(env.payload)) {
-    handle_gm_summary(*summary);
   } else if (const auto* monitor = net::msg_cast<LcMonitorData>(env.payload)) {
     handle_monitor(*monitor);
   } else if (const auto* hb2 = net::msg_cast<LcHeartbeat>(env.payload)) {
@@ -163,11 +154,27 @@ void GroupManager::handle_request(const net::Envelope& env, net::Responder respo
   if (const auto* join = net::msg_cast<LcJoinRequest>(env.payload)) {
     handle_lc_join(*join, responder);
   } else if (const auto* delta = net::msg_cast<GmSummaryDelta>(env.payload)) {
-    handle_summary_delta(*delta, responder);
-  } else if (const auto* assign = net::msg_cast<AssignLcRequest>(env.payload)) {
-    handle_assign_lc(*assign, responder);
+    if (gl_) {
+      gl_->handle_summary_delta(*delta, responder);
+    } else {
+      // Not an authority on the stream (includes the degenerate self-send
+      // right after a step-down): refuse, the GM re-anchors at the real GL.
+      auto ack = std::make_shared<GmSummaryAck>();
+      ack->seq = delta->seq;
+      responder.respond(ack);
+    }
+  } else if (net::msg_cast<AssignLcRequest>(env.payload) != nullptr) {
+    if (gl_) {
+      gl_->handle_assign_lc(responder);
+    } else {
+      responder.respond(std::make_shared<AssignLcResponse>());
+    }
   } else if (const auto* submit = net::msg_cast<SubmitVmRequest>(env.payload)) {
-    handle_submit(*submit, env.ctx, responder);
+    if (gl_) {
+      gl_->handle_submit(*submit, env.ctx, responder);
+    } else {
+      responder.respond(std::make_shared<SubmitVmResponse>());
+    }
   } else if (net::msg_cast<ProbeRequest>(env.payload) != nullptr) {
     // Gray-failure latency probe from the GL: answer after this GM's
     // effective service time so the GL's scorer sees a slow GM as slow.
@@ -201,7 +208,7 @@ void GroupManager::gm_tick_heartbeat() {
 }
 
 void GroupManager::gm_tick_summary() {
-  if (leader_) return;  // the GL keeps no LCs and reports no summary
+  if (gl_) return;  // the GL keeps no LCs and reports no summary
   if (draining_) return;  // silent: the GL ages us out before our restart
   if (current_gl_ == net::kNullAddress) return;
   if (service_stretch_ > 1.0) {
@@ -215,29 +222,7 @@ void GroupManager::gm_tick_summary() {
 }
 
 void GroupManager::gm_emit_summary() {
-  if (leader_ || draining_ || current_gl_ == net::kNullAddress) return;
-  if (config_.delta_summaries) {
-    gm_send_summary_delta();
-    return;
-  }
-  bump("gm.summaries");
-  auto summary = net::make_message<GmSummary>();
-  summary->gm = endpoint_.address();
-  for (const auto& [addr, lc] : lcs_) {
-    if (lc.power != LcPower::kOn) continue;
-    summary->capacity += lc.capacity;
-    for (const auto& [id, vm] : lc.vms) {
-      summary->used += vm.demand();
-      summary->vm_locations.emplace_back(id, addr);
-    }
-  }
-  summary->lc_count = static_cast<std::uint32_t>(lcs_.size());
-  summary->vm_count = static_cast<std::uint32_t>(vm_count());
-  counters_.summary_bytes_sent += summary->wire_size();
-  endpoint_.send(current_gl_, summary);
-}
-
-void GroupManager::gm_send_summary_delta() {
+  if (gl_ || draining_ || current_gl_ == net::kNullAddress) return;
   // A different GL — or the same one under a newer epoch (it restarted or a
   // successor took over) — holds none of our stream state: re-anchor.
   if (current_gl_ != summary_gl_ || gl_fence_.high_water != summary_gl_epoch_) {
@@ -318,7 +303,7 @@ void GroupManager::handle_revoke_vm(const RevokeVmRequest& req) {
 
 void GroupManager::handle_lc_join(const LcJoinRequest& req, net::Responder responder) {
   auto resp = std::make_shared<LcJoinResponse>();
-  if (leader_ || draining_) {
+  if (gl_ || draining_) {
     // Dedicated roles: a GL does not manage LCs. A draining GM is about to
     // restart and must not take responsibility for new nodes either.
     resp->ok = false;
@@ -498,14 +483,6 @@ std::size_t GroupManager::quarantined_count() const {
   return n;
 }
 
-std::size_t GroupManager::gm_probation_count() const {
-  std::size_t n = 0;
-  for (const auto& [addr, record] : gms_) {
-    if (record.info.probation) ++n;
-  }
-  return n;
-}
-
 int GroupManager::lc_health_of(net::Address lc) const {
   const auto it = lcs_.find(lc);
   if (it == lcs_.end()) return -1;
@@ -523,9 +500,8 @@ void GroupManager::gm_probe_peers() {
   // keeps one flaky link from polluting the latency baseline, while a
   // genuinely slow *node* is slow on both attempts and still scores high.
   std::vector<net::Address> targets;
-  if (leader_) {
-    targets.reserve(gms_.size());
-    for (const auto& [addr, record] : gms_) targets.push_back(addr);
+  if (gl_) {
+    targets = gl_->probe_targets();
   } else {
     for (auto& [addr, lc] : lcs_) {
       if (lc.health == LcHealth::kQuarantined) {
@@ -567,24 +543,11 @@ void GroupManager::gm_probe_peers() {
 
 void GroupManager::gm_evaluate_slowness() {
   scorer_.evaluate(now());
-  if (leader_) {
-    // GL role: flag slow GMs off the dispatch path. Never kill them — a
-    // slow-but-alive GM must not lose its group to a spurious failover.
-    for (auto& [addr, record] : gms_) {
-      const bool slow = scorer_.flagged(addr);
-      if (slow && !record.info.probation) {
-        ++counters_.slow_flags;
-        bump("gl.gm_slow_flagged");
-        trace_event("gl.gm_slow", "gm=" + std::to_string(addr));
-      } else if (!slow && record.info.probation) {
-        bump("gl.gm_slow_cleared");
-        trace_event("gl.gm_slow_cleared", "gm=" + std::to_string(addr));
-      }
-      record.info.probation = slow;
-    }
-    return;
+  if (gl_) {
+    gl_->evaluate_slowness();
+  } else {
+    apply_containment();
   }
-  apply_containment();
 }
 
 void GroupManager::apply_containment() {
@@ -1074,7 +1037,7 @@ void GroupManager::handle_vm_terminated(const VmTerminated& done) {
 }
 
 void GroupManager::gm_reconfigure() {
-  if (leader_ || lcs_.empty()) return;
+  if (gl_ || lcs_.empty()) return;
   // Build the packing instance over the powered-on LCs.
   std::vector<net::Address> hosts;
   std::vector<std::pair<net::Address, VmId>> vm_keys;
@@ -1176,7 +1139,7 @@ void GroupManager::gm_reconfigure() {
 // ---------------------------------------------------------------------------
 
 void GroupManager::gm_energy_check() {
-  if (leader_) return;
+  if (gl_) return;
   for (auto& [addr, lc] : lcs_) {
     // Non-healthy nodes belong to the containment machinery, which owns
     // their power state (quarantine suspends, reinstatement wakes).
@@ -1286,18 +1249,21 @@ void GroupManager::begin_drain() {
   trace_event("gm.draining");
   // A draining leader hands off first so the fleet keeps a GL while this
   // node restarts.
-  if (leader_) step_down("drain");
+  if (gl_) step_down("drain");
   // Resign the managed LCs back to the hierarchy; they rejoin another GM
   // under fresh leases, which fences off any command we might still send.
-  if (!lcs_.empty()) {
-    auto resign = std::make_shared<GmResign>();
-    resign->gm = endpoint_.address();
-    endpoint_.multicast(gm_group_, resign);
-    lcs_.clear();
-    waking_.clear();
-    condemned_vms_.clear();
-    inflight_placements_.clear();
-  }
+  resign_lcs();
+}
+
+void GroupManager::resign_lcs() {
+  if (lcs_.empty()) return;
+  auto resign = std::make_shared<GmResign>();
+  resign->gm = endpoint_.address();
+  endpoint_.multicast(gm_group_, resign);
+  lcs_.clear();
+  waking_.clear();
+  condemned_vms_.clear();
+  inflight_placements_.clear();
 }
 
 void GroupManager::cancel_drain() {
@@ -1335,18 +1301,17 @@ std::size_t GroupManager::evacuate_lc(net::Address source) {
 }
 
 // ---------------------------------------------------------------------------
-// GL role
+// Leadership
 // ---------------------------------------------------------------------------
 
 void GroupManager::become_leader(std::uint64_t epoch) {
-  if (leader_) return;
+  if (gl_) return;
   if (draining_) {
     // A node emptying out for a restart must not take the fleet's authority
     // role; re-enter the election at the back of the queue instead.
     election_.resign();
     return;
   }
-  leader_ = true;
   ++counters_.elections_won;
   bump("gm.elections_won");
   my_epoch_ = epoch;
@@ -1355,74 +1320,34 @@ void GroupManager::become_leader(std::uint64_t epoch) {
   telemetry::gauge_set(tel(), "failover.epoch", static_cast<double>(epoch));
 
   // Dedicated roles: hand the managed LCs back to the hierarchy.
-  if (!lcs_.empty()) {
-    auto resign = std::make_shared<GmResign>();
-    resign->gm = endpoint_.address();
-    endpoint_.multicast(gm_group_, resign);
-    lcs_.clear();
-    waking_.clear();
-    condemned_vms_.clear();
-    inflight_placements_.clear();
-  }
+  resign_lcs();
   // Role change: the scorer now baselines GMs, not LCs.
   scorer_.clear();
 
-  // Reconciliation window: defer client work (submissions, LC assignments)
-  // until the GM summaries arriving under this term have rebuilt our soft
-  // state; in-flight migrations surface through the LC monitoring reports of
-  // the GMs that inherit them.
-  reconciling_ = true;
-  reconcile_started_ = now();
-  telemetry::Telemetry* t = tel();
-  if (t != nullptr) {
-    reconcile_span_ = t->spans().begin(t->spans().new_trace(), 0, "gl.reconcile",
-                                       name(), "epoch=" + std::to_string(epoch));
-  }
-  after(config_.gl_reconcile_window, [this, epoch] { finish_reconcile(epoch); });
-
+  gl_ = std::make_unique<GroupLeader>(*this);
+  after(config_.gl_reconcile_window, [term = gl_->term_] {
+    if (GroupLeader* gl = *term) gl->finish_reconcile();
+  });
+  // GL timers run while this node leads, whichever term started them.
   every(config_.gl_heartbeat_period, [this] {
-    gl_tick_heartbeat();
-    return leader_;
+    if (gl_) gl_->tick_heartbeat();
+    return gl_ != nullptr;
   });
   every(config_.gm_summary_period, [this] {
-    gl_check_gm_liveness();
-    return leader_;
+    if (gl_) gl_->check_gm_liveness();
+    return gl_ != nullptr;
   });
   // Announce immediately so discovery does not wait a full period.
-  gl_tick_heartbeat();
-}
-
-void GroupManager::finish_reconcile(std::uint64_t term) {
-  // A step-down (or a newer term of our own) may have raced the timer.
-  if (!leader_ || my_epoch_ != term || !reconciling_) return;
-  reconciling_ = false;
-  ++counters_.reconciliations;
-  const sim::Time duration = now() - reconcile_started_;
-  telemetry::count(tel(), "gl.reconciles");
-  telemetry::observe(tel(), "reconcile.duration", duration);
-  telemetry::gauge_set(tel(), "reconcile.last_duration", duration);
-  telemetry::end_span(tel(), reconcile_span_, "ok");
-  reconcile_span_ = {};
-  trace_event("gl.reconciled", "gms=" + std::to_string(gms_.size()));
+  gl_->tick_heartbeat();
 }
 
 void GroupManager::step_down(const char* reason) {
-  if (!leader_) return;
-  leader_ = false;
+  if (!gl_) return;
   ++counters_.stepdowns;
   bump("gl.stepdowns");
   trace_event("gm.stepdown", reason);
-  if (reconciling_) {
-    reconciling_ = false;
-    telemetry::end_span(tel(), reconcile_span_, "aborted");
-    reconcile_span_ = {};
-  }
-  gms_.clear();
-  completed_submissions_.clear();
-  inflight_submissions_.clear();
-  submit_waiters_.clear();
-  vm_inventory_.clear();
-  vm_conflicts_.clear();
+  if (gl_->reconciling()) telemetry::end_span(tel(), gl_->reconcile_span_, "aborted");
+  gl_.reset();
   scorer_.clear();  // back to GM role: LC baselines start cold
   // Re-enter the election as a fresh candidate: our old znode is gone (a
   // successor exists or the session expired), so a new, strictly higher
@@ -1430,449 +1355,17 @@ void GroupManager::step_down(const char* reason) {
   election_.resign();
 }
 
-void GroupManager::gl_tick_heartbeat() {
-  if (!leader_) return;
-  bump("gl.heartbeats");
-  auto hb = std::make_shared<GlHeartbeat>();
-  hb->gl = endpoint_.address();
-  hb->epoch = my_epoch_;
-  endpoint_.multicast(gl_group_, hb);
-}
-
 void GroupManager::handle_gl_heartbeat(const GlHeartbeat& hb) {
   if (hb.gl == endpoint_.address()) return;
   if (hb.epoch != 0 && hb.epoch < gl_fence_.high_water) return;  // stale leader
   if (hb.epoch > gl_fence_.high_water) gl_fence_.high_water = hb.epoch;
   current_gl_ = hb.gl;
-  if (leader_ && hb.epoch > my_epoch_) {
+  if (gl_ && hb.epoch > my_epoch_) {
     // A successor with a newer election epoch exists — our coordination
     // session must have expired while we were partitioned away. Abdicate and
     // resume plain GM duty to prevent split-brain after the partition heals.
     step_down("newer gl heartbeat");
   }
-}
-
-void GroupManager::gl_check_gm_liveness() {
-  if (!leader_) return;
-  const sim::Time window =
-      config_.gm_summary_period * config_.heartbeat_timeout_factor;
-  for (auto it = gms_.begin(); it != gms_.end();) {
-    if (now() - it->second.last_summary > window) {
-      // Gracefully remove the failed GM so no new VMs land on it.
-      ++counters_.gm_failures_detected;
-      bump("gl.gm_failures_detected");
-      trace_event("gl.gm_failed");
-      const net::Address gone = it->first;
-      it = gms_.erase(it);
-      drop_gm_inventory(gone);
-      scorer_.forget(gone);
-    } else {
-      ++it;
-    }
-  }
-  prune_submission_book();
-}
-
-void GroupManager::prune_submission_book() {
-  const sim::Time retention = config_.submission_book_retention;
-  if (retention <= 0.0) return;
-  for (auto it = completed_submissions_.begin(); it != completed_submissions_.end();) {
-    // In delta mode a live VM's book entry is only refreshed on placement
-    // *changes*, so retention alone would prune (and then duplicate on a
-    // client replay) long-lived idle VMs: anything the inventory still lists
-    // as running is exempt.
-    if (now() - it->second.at > retention && vm_inventory_.count(it->first) == 0) {
-      it = completed_submissions_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void GroupManager::handle_gm_summary(const GmSummary& summary) {
-  if (!leader_) return;
-  GmRecord& record = gms_[summary.gm];
-  record.info.gm = summary.gm;
-  record.info.used = summary.used;
-  record.info.capacity = summary.capacity;
-  record.info.lc_count = summary.lc_count;
-  record.info.vm_count = summary.vm_count;
-  // Summary inter-arrival gap: a gray GM assembles its reports slowly, so
-  // its stream stutters relative to its peers. Outage-sized gaps (the GM was
-  // down or partitioned) belong to the liveness machinery, not the scorer.
-  const sim::Time gap = now() - record.last_summary;
-  if (record.last_summary > 0.0 &&
-      gap < config_.gm_summary_period * config_.heartbeat_timeout_factor) {
-    scorer_.add_sample(summary.gm, obs::SlownessMetric::kSummary, gap);
-  }
-  record.last_summary = now();
-  // Reconciliation: adopt the GM's VM locations into the submission book.
-  // A client retrying a submission whose accept was lost when the previous
-  // GL went down gets the existing placement replayed — never a second
-  // instance. Latest summary wins (a VM migrates between summaries at most
-  // once per period).
-  for (const auto& [vm, lc] : summary.vm_locations) {
-    completed_submissions_[vm] = {lc, summary.gm, now()};
-  }
-}
-
-void GroupManager::handle_summary_delta(const GmSummaryDelta& delta,
-                                        net::Responder responder) {
-  auto ack = std::make_shared<GmSummaryAck>();
-  ack->seq = delta.seq;
-  if (!leader_) {
-    // Not an authority on the stream (includes the degenerate self-send
-    // right after a step-down): refuse, the GM re-anchors at the real GL.
-    ack->ok = false;
-    responder.respond(ack);
-    return;
-  }
-  GmRecord& record = gms_[delta.gm];
-  SummaryUpdate update;
-  update.snapshot = delta.snapshot;
-  update.stream = delta.stream;
-  update.seq = delta.seq;
-  update.placed = delta.placed;
-  update.removed = delta.removed;
-  const std::uint64_t seq_before = record.decoder.last_seq();
-  const bool synced_before = record.decoder.synced();
-  if (!record.decoder.apply(update)) {
-    ++counters_.summary_rejects;
-    bump("gl.summary_rejected");
-    trace_event("gl.summary_rejected", "gm=" + std::to_string(delta.gm));
-    ack->ok = false;
-    responder.respond(ack);
-    return;
-  }
-  record.info.gm = delta.gm;
-  record.info.used = delta.used;
-  record.info.capacity = delta.capacity;
-  record.info.lc_count = delta.lc_count;
-  record.info.vm_count = delta.vm_count;
-  record.info.worst_lc_heartbeat_age = delta.worst_lc_heartbeat_age;
-  // Same inter-arrival slowness signal as the full-summary path.
-  const sim::Time gap = now() - record.last_summary;
-  if (record.last_summary > 0.0 &&
-      gap < config_.gm_summary_period * config_.heartbeat_timeout_factor) {
-    scorer_.add_sample(delta.gm, obs::SlownessMetric::kSummary, gap);
-  }
-  record.last_summary = now();
-  // Sync the VM inventory only when the decoder actually advanced: a
-  // duplicate delivery of an *old* delta is acked (the GM moved on long ago)
-  // but its stale placements must not regress the inventory.
-  const bool advanced = record.decoder.last_seq() != seq_before ||
-                        record.decoder.synced() != synced_before;
-  if (delta.snapshot) {
-    // Re-anchor: claims this GM no longer makes are removals, then the full
-    // state is re-asserted. Both paths are idempotent.
-    const VmLocationMap& state = record.decoder.state();
-    std::vector<VmId> gone;
-    for (const auto& [vm, owner] : vm_inventory_) {
-      if (owner.gm == delta.gm && state.count(vm) == 0) gone.push_back(vm);
-    }
-    for (const VmId vm : gone) note_vm_removed(delta.gm, vm);
-    for (const auto& [vm, lc] : state) note_vm_placed(delta.gm, vm, lc);
-  } else if (advanced) {
-    for (const auto& [vm, lc] : delta.placed) note_vm_placed(delta.gm, vm, lc);
-    for (const VmId vm : delta.removed) note_vm_removed(delta.gm, vm);
-  }
-  resolve_conflicts_for(delta.gm);
-  ack->ok = true;
-  responder.respond(ack);
-}
-
-void GroupManager::note_vm_placed(net::Address gm, VmId vm, net::Address lc) {
-  const auto [it, inserted] = vm_inventory_.try_emplace(vm, VmOwnership{gm, lc, now()});
-  if (inserted) {
-    completed_submissions_[vm] = {lc, gm, now()};
-    return;
-  }
-  VmOwnership& owner = it->second;
-  if (owner.gm == gm) {
-    owner.lc = lc;  // intra-GM move (migration); not a duplicate
-    completed_submissions_[vm] = {lc, gm, now()};
-    return;
-  }
-  if (owner.lc == lc) {
-    // Same LC under a new GM: the LC (with its VMs) rejoined the hierarchy
-    // elsewhere — a legitimate ownership transfer, not a second instance.
-    // The old GM's stale claim retires with its next snapshot or removal.
-    owner = VmOwnership{gm, lc, now()};
-    if (const auto c = vm_conflicts_.find(vm);
-        c != vm_conflicts_.end() && c->second.challenger == gm) {
-      vm_conflicts_.erase(c);
-    }
-    completed_submissions_[vm] = {lc, gm, now()};
-    return;
-  }
-  // Same VM id claimed by two GMs on different LCs: a true cross-GM
-  // duplicate (e.g. a submit replayed against a new GL while the original
-  // placement survived a partition). Deciding on this single report could
-  // kill a healthy VM on a reordered stream, so park the claim and settle it
-  // against the incumbent's next applied summary (resolve_conflicts_for).
-  PendingConflict& conflict = vm_conflicts_[vm];
-  if (conflict.since == 0.0) conflict.since = now();
-  conflict.incumbent = owner.gm;
-  conflict.challenger = gm;
-  conflict.challenger_lc = lc;
-  bump("gl.cross_gm_conflicts");
-  trace_event("gl.cross_gm_conflict", "vm=" + std::to_string(vm));
-}
-
-void GroupManager::note_vm_removed(net::Address gm, VmId vm) {
-  if (const auto c = vm_conflicts_.find(vm);
-      c != vm_conflicts_.end() && c->second.challenger == gm) {
-    vm_conflicts_.erase(c);  // the challenger withdrew its claim
-  }
-  const auto it = vm_inventory_.find(vm);
-  if (it == vm_inventory_.end() || it->second.gm != gm) return;
-  if (const auto c = vm_conflicts_.find(vm);
-      c != vm_conflicts_.end() && c->second.incumbent == gm) {
-    // The incumbent dropped the VM while a challenger waits: the challenger
-    // simply becomes the owner — no instance was ever a duplicate for long.
-    it->second = VmOwnership{c->second.challenger, c->second.challenger_lc, now()};
-    completed_submissions_[vm] = {c->second.challenger_lc, c->second.challenger, now()};
-    vm_conflicts_.erase(c);
-    return;
-  }
-  vm_inventory_.erase(it);
-  // Retire the idempotency-book entry with the inventory: once no GM hosts
-  // the VM, replaying "ok, it lives on LC x" to a client retry would accept
-  // a submission whose VM is already gone (e.g. a fail-slow copy the GM
-  // adopted from a monitoring report and then aborted). The client's retry
-  // dispatches afresh instead.
-  completed_submissions_.erase(vm);
-}
-
-void GroupManager::resolve_conflicts_for(net::Address gm) {
-  const auto gm_it = gms_.find(gm);
-  if (gm_it == gms_.end()) return;
-  const VmLocationMap& state = gm_it->second.decoder.state();
-  for (auto it = vm_conflicts_.begin(); it != vm_conflicts_.end();) {
-    if (it->second.incumbent != gm) {
-      ++it;
-      continue;
-    }
-    const VmId vm = it->first;
-    const PendingConflict conflict = it->second;
-    if (state.count(vm) > 0) {
-      // The incumbent's fresh summary still reports the VM: the challenger's
-      // copy is the duplicate. Revoke it under our election epoch so a
-      // deposed leader's late revoke is fenced off at the GM.
-      ++counters_.cross_gm_duplicates_revoked;
-      bump("gl.cross_gm_duplicates_revoked");
-      trace_event("gl.duplicate_revoked", "vm=" + std::to_string(vm));
-      auto revoke = std::make_shared<RevokeVmRequest>();
-      revoke->vm = vm;
-      revoke->lc = conflict.challenger_lc;
-      revoke->epoch = my_epoch_;
-      endpoint_.send(conflict.challenger, revoke);
-    } else {
-      vm_inventory_[vm] =
-          VmOwnership{conflict.challenger, conflict.challenger_lc, now()};
-      completed_submissions_[vm] = {conflict.challenger_lc, conflict.challenger,
-                                    now()};
-    }
-    it = vm_conflicts_.erase(it);
-  }
-}
-
-void GroupManager::drop_gm_inventory(net::Address gm) {
-  for (auto it = vm_conflicts_.begin(); it != vm_conflicts_.end();) {
-    if (it->second.challenger == gm) {
-      it = vm_conflicts_.erase(it);
-    } else if (it->second.incumbent == gm) {
-      // The incumbent left the fleet: the challenger's copy is the survivor.
-      vm_inventory_[it->first] =
-          VmOwnership{it->second.challenger, it->second.challenger_lc, now()};
-      it = vm_conflicts_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = vm_inventory_.begin(); it != vm_inventory_.end();) {
-    if (it->second.gm == gm) {
-      it = vm_inventory_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-double GroupManager::summary_staleness() const {
-  if (!leader_ || gms_.empty()) return -1.0;
-  double worst = 0.0;
-  for (const auto& [addr, record] : gms_) {
-    worst = std::max(worst, now() - record.last_summary);
-  }
-  return worst;
-}
-
-double GroupManager::aggregated_lc_heartbeat_age() const {
-  double worst = -1.0;
-  for (const auto& [addr, record] : gms_) {
-    worst = std::max(worst, record.info.worst_lc_heartbeat_age);
-  }
-  return worst;
-}
-
-void GroupManager::handle_assign_lc(const AssignLcRequest& req, net::Responder responder) {
-  (void)req;  // the assignment policies rank GMs independently of the LC
-  auto resp = std::make_shared<AssignLcResponse>();
-  if (!leader_ || reconciling_) {
-    if (reconciling_) bump("gl.reconcile_deferred");
-    resp->ok = false;
-    responder.respond(resp);
-    return;
-  }
-  // Prefer GMs not under gray suspicion; if the whole fleet is flagged the
-  // filter would turn a slowdown into an outage, so fall back to everyone.
-  std::vector<GmInfo> infos = gm_infos();
-  std::vector<GmInfo> healthy;
-  healthy.reserve(infos.size());
-  for (const GmInfo& info : infos) {
-    if (!info.probation) healthy.push_back(info);
-  }
-  const net::Address gm =
-      assignment_policy_->assign(healthy.empty() ? infos : healthy);
-  resp->ok = gm != net::kNullAddress;
-  resp->gm = gm;
-  responder.respond(resp);
-}
-
-void GroupManager::handle_submit(const SubmitVmRequest& req, telemetry::SpanContext ctx,
-                                 net::Responder responder) {
-  auto fail = [&] {
-    auto resp = std::make_shared<SubmitVmResponse>();
-    resp->ok = false;
-    responder.respond(resp);
-  };
-  if (!leader_) {
-    fail();
-    return;
-  }
-  // A fresh term defers client work until soft state is rebuilt; the client
-  // retries past the window (reconcile < its backoff horizon).
-  if (reconciling_) {
-    bump("gl.reconcile_deferred");
-    fail();
-    return;
-  }
-  // Idempotency: replay the result of an already-completed submission (the
-  // client only retries when our previous response was lost in transit).
-  const auto done = completed_submissions_.find(req.vm.id);
-  if (done != completed_submissions_.end()) {
-    auto resp = std::make_shared<SubmitVmResponse>();
-    resp->ok = true;
-    resp->lc = done->second.lc;
-    resp->gm = done->second.gm;
-    responder.respond(resp);
-    return;
-  }
-  if (inflight_submissions_.count(req.vm.id) > 0) {
-    // A retry raced the first dispatch (the client's submit deadline is
-    // tighter than a worst-case placement). Park it; every waiter is
-    // answered with the dispatch's outcome instead of bouncing the client
-    // into another discovery round while the VM is still being placed.
-    submit_waiters_[req.vm.id].push_back(responder);
-    return;
-  }
-  ++counters_.dispatches;
-  bump("gl.dispatches");
-  const auto span = telemetry::begin_span(tel(), ctx, "gl.dispatch", name(),
-                                          "vm=" + std::to_string(req.vm.id));
-  // Dispatch steers around probationed GMs (same fallback rule as LC
-  // assignment: an all-flagged fleet keeps serving).
-  std::vector<GmInfo> infos = gm_infos();
-  std::vector<GmInfo> healthy_gms;
-  healthy_gms.reserve(infos.size());
-  for (const GmInfo& info : infos) {
-    if (!info.probation) healthy_gms.push_back(info);
-  }
-  std::vector<net::Address> candidates = dispatch_policy_->candidates(
-      req.vm, healthy_gms.empty() ? infos : healthy_gms,
-      config_.max_dispatch_candidates);
-  if (candidates.empty()) {
-    ++counters_.dispatch_failures;
-    bump("gl.dispatch_failures");
-    telemetry::end_span(tel(), span, "no_candidates");
-    fail();
-    return;
-  }
-  inflight_submissions_.insert(req.vm.id);
-  dispatch_linear_search(req.vm, std::move(candidates), 0, span, responder);
-}
-
-void GroupManager::dispatch_linear_search(VmDescriptor vm,
-                                          std::vector<net::Address> candidates,
-                                          std::size_t index, telemetry::SpanContext span,
-                                          net::Responder responder) {
-  if (index >= candidates.size()) {
-    inflight_submissions_.erase(vm.id);
-    ++counters_.dispatch_failures;
-    bump("gl.dispatch_failures");
-    telemetry::end_span(tel(), span, "failed");
-    SubmitVmResponse out;
-    answer_submit(vm.id, responder, out);
-    return;
-  }
-  // Each candidate GM gets transport-level retries before we move on: if an
-  // attempt's *response* was lost (the GM may well have placed the VM), the
-  // GM's idempotent placement handler resolves the re-send instantly instead
-  // of a second copy being started on the next GM. Explicit rejections do
-  // not retry (call_with_retries semantics) and fall through to the next
-  // candidate immediately.
-  const net::Address gm = candidates[index];
-  auto place = std::make_shared<PlacementRequest>();
-  place->vm = vm;
-  place->ctx = span;
-  place->epoch = my_epoch_;  // fencing token: GMs reject deposed leaders
-  net::RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.base_backoff = 0.25;
-  endpoint_.call_with_retries(
-      gm, place, config_.placement_rpc_timeout, policy,
-      [this, vm, candidates = std::move(candidates), index, gm, span,
-       responder](bool ok, const net::MsgPtr& reply) mutable {
-    if (ok && net::msg_cast<StaleEpochError>(reply) != nullptr) {
-      // A GM saw a newer GL term than ours: we are deposed. Abandon the
-      // dispatch (the client retries against the successor) and rejoin the
-      // election instead of spraying stale commands at further candidates.
-      inflight_submissions_.erase(vm.id);
-      telemetry::end_span(tel(), span, "stale_epoch");
-      // Answer before step_down(): stepping down drops the waiter book.
-      SubmitVmResponse out;
-      answer_submit(vm.id, responder, out);
-      step_down("stale epoch on dispatch");
-      return;
-    }
-    const auto* resp = ok ? net::msg_cast<PlacementResponse>(reply) : nullptr;
-    if (resp != nullptr && resp->ok) {
-      inflight_submissions_.erase(vm.id);
-      completed_submissions_[vm.id] = {resp->lc, gm, now()};
-      telemetry::end_span(tel(), span, "ok");
-      SubmitVmResponse out;
-      out.ok = true;
-      out.lc = resp->lc;
-      out.gm = gm;
-      answer_submit(vm.id, responder, out);
-      return;
-    }
-    // Rejected or retries exhausted: try the next candidate GM.
-    dispatch_linear_search(std::move(vm), std::move(candidates), index + 1, span,
-                           responder);
-  });
-}
-
-void GroupManager::answer_submit(VmId vm, const net::Responder& responder,
-                                 const SubmitVmResponse& result) {
-  responder.respond(std::make_shared<SubmitVmResponse>(result));
-  const auto waiting = submit_waiters_.find(vm);
-  if (waiting == submit_waiters_.end()) return;
-  for (const auto& waiter : waiting->second) {
-    waiter.respond(std::make_shared<SubmitVmResponse>(result));
-  }
-  submit_waiters_.erase(waiting);
 }
 
 // ---------------------------------------------------------------------------
@@ -1883,21 +1376,13 @@ void GroupManager::fail() {
   trace_event("gm.fail");
   endpoint_.go_down();
   election_.crash();  // coordination session will expire -> successor elected
+  gl_.reset();
   lcs_.clear();
-  gms_.clear();
   waking_.clear();
   condemned_vms_.clear();
   inflight_placements_.clear();
-  completed_submissions_.clear();
-  inflight_submissions_.clear();
-  submit_waiters_.clear();
-  vm_inventory_.clear();
-  vm_conflicts_.clear();
   scorer_.clear();
-  leader_ = false;
   started_ = false;
-  reconciling_ = false;
-  reconcile_span_ = {};
   current_gl_ = net::kNullAddress;
   crash();
 }

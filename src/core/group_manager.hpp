@@ -1,14 +1,15 @@
-// Group Manager (GM) and Group Leader (GL) — paper §II.
+// Group Manager (GM) — paper §II.
 //
 // A GM manages a subset of LCs: receives their monitoring data, estimates
 // VM resource demand, takes placement / relocation / reconfiguration
 // decisions, and manages their power states. Exactly one GM is elected
-// Group Leader (via the coordination service); the GL oversees the GMs,
-// keeps aggregated summaries, assigns joining LCs to GMs and dispatches VM
-// submissions. Per the paper's self-organization design the two roles live
-// in one component: "when an existing GM becomes the new leader it switches
-// to GL mode" — its former LCs are told to rejoin the hierarchy, because
-// components have dedicated roles (a GL does not manage LCs directly).
+// Group Leader (via the coordination service). Per the paper's
+// self-organization design "when an existing GM becomes the new leader it
+// switches to GL mode": this GM then holds a GroupLeader (group_leader.hpp)
+// for as long as the term lasts, and its former LCs are told to rejoin the
+// hierarchy, because components have dedicated roles (a GL does not manage
+// LCs directly). The GM keeps what outlives a term: the election state,
+// the lifetime counters, the slowness scorer and the policy objects.
 #pragma once
 
 #include <map>
@@ -20,6 +21,7 @@
 #include "core/config.hpp"
 #include "core/estimator.hpp"
 #include "core/fence.hpp"
+#include "core/group_leader.hpp"
 #include "core/messages.hpp"
 #include "core/policies.hpp"
 #include "core/relocation.hpp"
@@ -51,15 +53,15 @@ class GroupManager final : public sim::Actor {
     std::uint64_t gm_failures_detected = 0;  // GL only
     std::uint64_t vms_rescheduled = 0;       // snapshot-recovery feature
     std::uint64_t elections_won = 0;
-    std::uint64_t stepdowns = 0;             // leadership lost while leader_
+    std::uint64_t stepdowns = 0;             // leadership terms lost
     std::uint64_t reconciliations = 0;       // GL reconcile windows completed
     std::uint64_t migrations_inherited = 0;  // in-flight migrations adopted on failover
     std::uint64_t lcs_fenced_off = 0;        // LCs dropped after a StaleEpoch reply
-    // Delta summary stream (SnoozeConfig::delta_summaries).
+    // Summary stream (GmSummaryDelta).
     std::uint64_t summary_deltas_sent = 0;     // GM: incremental updates sent
     std::uint64_t summary_snapshots_sent = 0;  // GM: full snapshots sent
     std::uint64_t summary_nacks = 0;           // GM: negative acks received
-    std::uint64_t summary_bytes_sent = 0;      // GM: summary bytes on the wire (both modes)
+    std::uint64_t summary_bytes_sent = 0;      // GM: summary bytes on the wire
     std::uint64_t summary_rejects = 0;         // GL: updates rejected (gap / unsynced)
     std::uint64_t cross_gm_duplicates_revoked = 0;  // GL: duplicate copies revoked
     std::uint64_t revokes_honored = 0;         // GM: GL revoke commands executed
@@ -81,13 +83,13 @@ class GroupManager final : public sim::Actor {
 
   // --- introspection ---------------------------------------------------------
   [[nodiscard]] net::Address address() const { return endpoint_.address(); }
-  [[nodiscard]] bool is_leader() const { return leader_; }
+  [[nodiscard]] bool is_leader() const { return gl_ != nullptr; }
+  /// The GL role of the current term; null when this node is not leading.
+  [[nodiscard]] const GroupLeader* leader() const { return gl_.get(); }
   /// Election epoch of this GM's current (or last) leadership term.
   [[nodiscard]] std::uint64_t epoch() const { return my_epoch_; }
   /// Highest GL epoch observed (heartbeats and fenced commands).
   [[nodiscard]] std::uint64_t gl_epoch_seen() const { return gl_fence_.high_water; }
-  /// True while a new GL term defers client work to rebuild soft state.
-  [[nodiscard]] bool reconciling() const { return reconciling_; }
   /// GL-domain commands this GM rejected as stale.
   [[nodiscard]] std::uint64_t fence_rejected() const { return gl_fence_.rejected; }
   /// Tripwire: stale GL-domain commands that reached the apply path (must
@@ -96,10 +98,8 @@ class GroupManager final : public sim::Actor {
   [[nodiscard]] net::Address current_gl() const { return current_gl_; }
   [[nodiscard]] std::size_t lc_count() const { return lcs_.size(); }
   [[nodiscard]] std::size_t vm_count() const;
-  [[nodiscard]] std::size_t known_gm_count() const { return gms_.size(); }
   [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] net::GroupId heartbeat_group() const { return gm_group_; }
-  [[nodiscard]] std::vector<GmInfo> gm_infos() const;
   [[nodiscard]] std::vector<LcInfo> lc_infos() const;
 
   /// All network addresses this component owns (main endpoint + coordination
@@ -133,38 +133,10 @@ class GroupManager final : public sim::Actor {
   /// the caller already decided the fleet has excess capacity).
   std::size_t scale_suspend(std::size_t n);
 
-  /// GL-side idempotency book size (RSS proxy for long-run soak gates).
-  [[nodiscard]] std::size_t submission_book_size() const {
-    return completed_submissions_.size();
-  }
-
-  // --- delta summary stream (GL-side introspection) --------------------------
-  /// The GL's VM -> owner record, built from delta summaries. Empty when
-  /// delta summaries are off or this node is not the leader.
-  struct VmOwnership {
-    net::Address gm = net::kNullAddress;
-    net::Address lc = net::kNullAddress;
-    sim::Time since = 0.0;
-  };
-  [[nodiscard]] const std::map<VmId, VmOwnership>& vm_inventory() const {
-    return vm_inventory_;
-  }
-  /// Unresolved cross-GM duplicate claims awaiting the incumbent's next
-  /// summary (diagnostic; steady state is empty).
-  [[nodiscard]] std::size_t vm_conflict_count() const { return vm_conflicts_.size(); }
-  /// GL: age of the stalest GM summary, in seconds (obs SLI). Negative when
-  /// this node is not the leader or knows no GMs yet.
-  [[nodiscard]] double summary_staleness() const;
-  /// GL: worst LC heartbeat age aggregated hierarchically across GM delta
-  /// summaries. Negative until a delta summary carried the aggregate.
-  [[nodiscard]] double aggregated_lc_heartbeat_age() const;
-
   // --- gray-failure detection -------------------------------------------------
   /// LCs currently on probation / in quarantine (GM role; obs SLI inputs).
   [[nodiscard]] std::size_t probation_count() const;
   [[nodiscard]] std::size_t quarantined_count() const;
-  /// GMs the GL currently flags as slow (GL role).
-  [[nodiscard]] std::size_t gm_probation_count() const;
   /// Containment state of one managed LC: 0 healthy, 1 probation,
   /// 2 quarantined, -1 not managed by this GM (CLI / obs rendering).
   [[nodiscard]] int lc_health_of(net::Address lc) const;
@@ -184,6 +156,8 @@ class GroupManager final : public sim::Actor {
   [[nodiscard]] double service_stretch() const { return service_stretch_; }
 
  private:
+  friend class GroupLeader;
+
   // Per-VM knowledge within a GM.
   struct VmRecord {
     ResourceVector requested;
@@ -226,13 +200,6 @@ class GroupManager final : public sim::Actor {
     int quarantine_count = 0;  ///< lifetime quarantines (>1 counts as a flap)
     std::map<VmId, VmRecord> vms;
   };
-  // The GL's view of a GM.
-  struct GmRecord {
-    GmInfo info;
-    sim::Time last_summary = 0.0;
-    /// Delta-summary stream state for this GM (inert in full-summary mode).
-    SummaryDecoder decoder;
-  };
 
   void handle_oneway(const net::Envelope& env);
   void handle_request(const net::Envelope& env, net::Responder responder);
@@ -240,10 +207,10 @@ class GroupManager final : public sim::Actor {
   // GM role ------------------------------------------------------------------
   void gm_tick_heartbeat();
   void gm_tick_summary();
-  /// Delta-summary mode: encode the changed VM placements since the last
-  /// acked epoch (or a full snapshot after reconnect / GL change / nack)
-  /// and send them as an acknowledged GmSummaryDelta.
-  void gm_send_summary_delta();
+  /// Encode the changed VM placements since the last acked update (or a
+  /// full snapshot after reconnect / GL change / nack) and send them as an
+  /// acknowledged GmSummaryDelta.
+  void gm_emit_summary();
   /// GL-fenced command: stop a VM copy the GL identified as a cross-GM
   /// duplicate (a newer placement of the same VM id exists under another GM).
   void handle_revoke_vm(const RevokeVmRequest& req);
@@ -259,8 +226,6 @@ class GroupManager final : public sim::Actor {
   /// GM role: drive each LC's healthy -> probation -> quarantined ->
   /// reinstated ladder from the scorer's flags.
   void apply_containment();
-  /// Send the (possibly stretch-delayed) summary for this tick.
-  void gm_emit_summary();
   void handle_lc_join(const LcJoinRequest& req, net::Responder responder);
   void handle_monitor(const LcMonitorData& data);
   void handle_anomaly(const AnomalyEvent& event);
@@ -284,45 +249,19 @@ class GroupManager final : public sim::Actor {
   /// energy check and the autoscaler's capacity decisions).
   void gm_suspend_lc(net::Address target);
   void gm_wake_lc(net::Address target);
+  /// Hand every managed LC back to the hierarchy (GmResign) and forget it.
+  void resign_lcs();
   [[nodiscard]] std::vector<VmLoad> vm_loads(const LcRecord& record) const;
   void on_lc_failed(net::Address lc);
 
-  // GL role ------------------------------------------------------------------
+  // Leadership ---------------------------------------------------------------
+  /// Switch to GL mode: create the term's GroupLeader and its timers.
   void become_leader(std::uint64_t epoch);
   /// Leave GL mode (stale-epoch rejection, newer heartbeat, or session
-  /// expiry) and re-enter the election as a plain GM. Idempotent.
+  /// expiry), destroying the term's GroupLeader, and re-enter the election
+  /// as a plain GM. Idempotent.
   void step_down(const char* reason);
-  void finish_reconcile(std::uint64_t term);
-  void gl_tick_heartbeat();
-  void gl_check_gm_liveness();
-  void handle_assign_lc(const AssignLcRequest& req, net::Responder responder);
-  void handle_submit(const SubmitVmRequest& req, telemetry::SpanContext ctx,
-                     net::Responder responder);
-  void dispatch_linear_search(VmDescriptor vm, std::vector<net::Address> candidates,
-                              std::size_t index, telemetry::SpanContext span,
-                              net::Responder responder);
-  void answer_submit(VmId vm, const net::Responder& responder,
-                     const SubmitVmResponse& result);
-  void handle_gm_summary(const GmSummary& summary);
-  /// Delta-summary stream: apply one GmSummaryDelta to the sender's decoder,
-  /// sync the VM inventory, and ack (ok=false asks the GM to snapshot).
-  void handle_summary_delta(const GmSummaryDelta& delta, net::Responder responder);
-  /// Inventory bookkeeping for one placed / removed VM from an applied
-  /// summary; detects cross-GM duplicate claims (same VM id under two GMs).
-  void note_vm_placed(net::Address gm, VmId vm, net::Address lc);
-  void note_vm_removed(net::Address gm, VmId vm);
-  /// After applying a summary from `gm`, settle conflicts where `gm` is the
-  /// incumbent: if it still reports the VM, revoke the challenger's copy;
-  /// if it dropped the VM, the challenger simply becomes the owner.
-  void resolve_conflicts_for(net::Address gm);
-  /// Drop a departed GM's inventory entries and settle its conflicts.
-  void drop_gm_inventory(net::Address gm);
   void handle_gl_heartbeat(const GlHeartbeat& hb);
-  /// Drop submission-book entries unrefreshed for longer than the retention
-  /// window (a live VM is re-acknowledged by every GM summary; an entry that
-  /// stopped refreshing belongs to a terminated VM whose client is long
-  /// gone). Bounds the book on long-horizon runs.
-  void prune_submission_book();
 
   void trace_event(std::string_view kind, std::string_view detail = {});
 
@@ -341,7 +280,6 @@ class GroupManager final : public sim::Actor {
   sim::Trace* trace_;
 
   bool started_ = false;
-  bool leader_ = false;
   bool draining_ = false;
   std::uint32_t software_version_ = 1;
   net::Address current_gl_ = net::kNullAddress;
@@ -350,38 +288,18 @@ class GroupManager final : public sim::Actor {
   EpochFence gl_fence_;
   std::uint64_t my_epoch_ = 0;
 
-  /// GL reconciliation window (see SnoozeConfig::gl_reconcile_window).
-  bool reconciling_ = false;
-  sim::Time reconcile_started_ = 0.0;
-  telemetry::SpanContext reconcile_span_;
+  /// The GL role while this node leads; null otherwise.
+  std::unique_ptr<GroupLeader> gl_;
 
   std::map<net::Address, LcRecord> lcs_;
-  std::map<net::Address, GmRecord> gms_;
   std::set<net::Address> waking_;  ///< LCs with an in-flight wakeup
 
-  // GL-side idempotency: a submission retried because its response was lost
-  // must not start a second copy of the VM. Completed results are replayed;
-  // duplicates of in-flight submissions are parked and answered with the
-  // first dispatch's outcome (the client's submit deadline is shorter than
-  // our worst-case placement, so retries legitimately race the original).
-  // The completed map is refreshed by GM summaries for live VMs and pruned
-  // after SnoozeConfig::submission_book_retention for entries that stopped
-  // refreshing (terminated VMs), so it stays bounded by the live fleet on
-  // long-horizon runs. Cleared on failover.
-  struct CompletedSubmission {
-    net::Address lc = net::kNullAddress;
-    net::Address gm = net::kNullAddress;
-    sim::Time at = 0.0;  ///< last acknowledgment (placement or summary refresh)
-  };
-  std::map<VmId, CompletedSubmission> completed_submissions_;
-  std::set<VmId> inflight_submissions_;
   /// Destinations of migrations this GM commanded that have not completed
   /// yet. Monitoring reports lag the command, so without this the
   /// interference planner would keep routing victims at a target that looks
   /// empty but already has a noisy VM on the wire towards it (co-location
   /// ping-pong). Cleared on MigrationDone, LC rejection, or command timeout.
   std::map<VmId, net::Address> inflight_migrations_;
-  std::map<VmId, std::vector<net::Responder>> submit_waiters_;
   /// (LC, VM) pairs with an in-flight StartVm this GM issued. A slow LC's
   /// monitoring report can list the booting copy before the ack arrives;
   /// adopting it would smuggle an unconfirmed placement into the summary
@@ -395,8 +313,8 @@ class GroupManager final : public sim::Actor {
   /// Entries lift on re-placement, termination, or LC removal.
   std::set<std::pair<net::Address, VmId>> condemned_vms_;
 
-  // --- delta summary stream --------------------------------------------------
-  // GM side: encoder state for the outbound stream. The stream id is bumped
+  // --- summary stream ----------------------------------------------------------
+  // Encoder state for the outbound stream. The stream id is bumped
   // on restart() so a delayed delta from a previous life can never be
   // confused with the fresh stream's sequence numbers.
   SummaryEncoder summary_encoder_;
@@ -406,26 +324,15 @@ class GroupManager final : public sim::Actor {
   net::Address summary_gl_ = net::kNullAddress;
   std::uint64_t summary_gl_epoch_ = 0;
 
-  // GL side: the cluster-wide VM -> owner inventory assembled from delta
-  // summaries, and cross-GM duplicate claims pending resolution. A conflict
-  // is resolved only on the incumbent's next applied summary — if it still
-  // reports the VM the challenger's copy is revoked, otherwise ownership
-  // transfers — so a single reordered report never kills a healthy VM.
-  struct PendingConflict {
-    net::Address incumbent = net::kNullAddress;
-    net::Address challenger = net::kNullAddress;
-    net::Address challenger_lc = net::kNullAddress;
-    sim::Time since = 0.0;
-  };
-  std::map<VmId, VmOwnership> vm_inventory_;
-  std::map<VmId, PendingConflict> vm_conflicts_;
-
   std::unique_ptr<DispatchPolicy> dispatch_policy_;
   std::unique_ptr<PlacementPolicy> placement_policy_;
   std::unique_ptr<AssignmentPolicy> assignment_policy_;
 
   /// Peer-relative fail-slow scorer: over LCs in GM mode, over GMs in GL
-  /// mode (cleared on every role change so baselines never mix).
+  /// mode. Cleared on every role change, but replies are not routed by
+  /// role: a probe, StartVm or migration sample in flight across the change
+  /// still lands afterwards, and evaluate() takes its median/MAD over every
+  /// peer with samples, so right after a change LC and GM baselines can mix.
   obs::SlownessScorer scorer_;
   double service_stretch_ = 1.0;  ///< gray-fault injection (1 = healthy)
 

@@ -19,16 +19,15 @@ namespace snooze::core {
 
 using net::Address;
 
-/// The GL's view of one GM (from the latest GmSummary).
+/// The GL's view of one GM (from its latest applied GmSummaryDelta).
 struct GmInfo {
   Address gm = net::kNullAddress;
   ResourceVector used;
   ResourceVector capacity;
   std::uint32_t lc_count = 0;
   std::uint32_t vm_count = 0;
-  /// Hierarchical heartbeat aggregation (delta summaries only): the worst
-  /// LC heartbeat age under this GM at summary time. Negative when the GM
-  /// reports via full summaries, which do not carry the aggregate.
+  /// Hierarchical heartbeat aggregation: the worst LC heartbeat age under
+  /// this GM at summary time. Negative until a summary from it is applied.
   double worst_lc_heartbeat_age = -1.0;
   /// Flagged slow by the GL's peer-relative scorer: dispatch and assignment
   /// avoid this GM while healthy alternatives exist (it is never declared

@@ -36,14 +36,14 @@ void Autoscaler::start() {
 }
 
 void Autoscaler::tick() {
-  core::GroupManager* leader = system_.leader();
-  if (leader == nullptr || leader->reconciling()) {
+  const core::GroupManager* gl = system_.leader();
+  if (gl == nullptr || gl->leader()->reconciling()) {
     // No authoritative demand view: hold position (and any streaks — a
     // failover should not erase evidence gathered right before it).
     return;
   }
   double used = 0.0, capacity = 0.0;
-  for (const core::GmInfo& info : leader->gm_infos()) {
+  for (const core::GmInfo& info : gl->leader()->gm_infos()) {
     used += info.used.l1_norm();
     capacity += info.capacity.l1_norm();
   }

@@ -65,8 +65,8 @@ bool RollingUpgrade::slo_firing() const {
 }
 
 bool RollingUpgrade::gate_ok() const {
-  const core::GroupManager* leader = system_.leader();
-  return leader != nullptr && !leader->reconciling() && !slo_firing();
+  const core::GroupManager* gl = system_.leader();
+  return gl != nullptr && !gl->leader()->reconciling() && !slo_firing();
 }
 
 void RollingUpgrade::tick() {
@@ -237,9 +237,9 @@ void RollingUpgrade::step_rejoining() {
   const Wave& wave = waves_[wave_index_];
   bool rejoined = true;
   if (wave.gm_wave) {
-    const core::GroupManager* leader = system_.leader();
-    rejoined = system_.group_managers()[wave.nodes[0]]->alive() && leader != nullptr &&
-               !leader->reconciling();
+    const core::GroupManager* gl = system_.leader();
+    rejoined = system_.group_managers()[wave.nodes[0]]->alive() && gl != nullptr &&
+               !gl->leader()->reconciling();
   } else {
     for (std::size_t node : wave.nodes) {
       if (!system_.local_controllers()[node]->assigned()) rejoined = false;

@@ -420,11 +420,10 @@ TEST(Invariants, DuplicateAcrossGmsIsResolved) {
   spec.seed = 42;
   spec.group_managers = 3;
   spec.local_controllers = 4;
-  // With the delta-summary stream the GL keeps a VM -> GM ownership
-  // inventory, so the split-brain placement that is merely *reported* in
+  // The GL keeps a VM -> GM ownership inventory from the summary stream,
+  // so the split-brain placement that is merely *reported* in
   // DuplicateVmInstanceIsReported gets actively resolved: the GL revokes the
   // challenger copy and exactly one instance survives.
-  spec.config.delta_summaries = true;
   core::SnoozeSystem system(spec);
   system.start();
   ASSERT_TRUE(system.run_until_stable(60.0));
@@ -526,7 +525,6 @@ TEST(ChaosRun, DeltaSummariesSurviveSeededPartitions) {
   // stream to survive the same loss/duplication the schedule injects.
   ChaosRunConfig cfg;
   cfg.seed = 45;
-  cfg.config.delta_summaries = true;
   const auto result = run_chaos(cfg);
   EXPECT_TRUE(result.converged) << result.report;
   EXPECT_TRUE(result.invariants_ok) << result.report;

@@ -68,7 +68,7 @@ TEST(Monitoring, GlSummaryReflectsPlacedVms) {
   system.engine().run_until(system.engine().now() + 30.0);
   GroupManager* gl = system.leader();
   ASSERT_NE(gl, nullptr);
-  const auto infos = gl->gm_infos();
+  const auto infos = gl->leader()->gm_infos();
   ASSERT_EQ(infos.size(), 1u);
   EXPECT_EQ(infos[0].vm_count, 4u);
   EXPECT_NEAR(infos[0].used.cpu(), 1.0, 0.05);  // 4 x 0.25 requested, util 1.0
@@ -327,7 +327,7 @@ TEST(Estimation, EwmaEstimatorWorksEndToEnd) {
   // The GL summary reflects the EWMA-estimated demand (~0.5 of requested).
   GroupManager* gl = system.leader();
   ASSERT_NE(gl, nullptr);
-  const auto infos = gl->gm_infos();
+  const auto infos = gl->leader()->gm_infos();
   ASSERT_FALSE(infos.empty());
   EXPECT_NEAR(infos[0].used.cpu(), 0.5, 0.1);
 }

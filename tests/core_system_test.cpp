@@ -225,7 +225,7 @@ TEST(FaultTolerance, GlDetectsGmFailure) {
   system.start();
   ASSERT_TRUE(system.run_until_stable(60.0));
   GroupManager* gl = system.leader();
-  const std::size_t before = gl->known_gm_count();
+  const std::size_t before = gl->leader()->known_gm_count();
   ASSERT_EQ(before, 2u);
   for (std::size_t i = 0; i < system.group_managers().size(); ++i) {
     if (!system.group_managers()[i]->is_leader()) {
@@ -234,7 +234,8 @@ TEST(FaultTolerance, GlDetectsGmFailure) {
     }
   }
   system.engine().run_until(system.engine().now() + 30.0);
-  EXPECT_EQ(gl->known_gm_count(), 1u);
+  ASSERT_TRUE(gl->is_leader());
+  EXPECT_EQ(gl->leader()->known_gm_count(), 1u);
   EXPECT_GE(gl->counters().gm_failures_detected, 1u);
 }
 
@@ -508,7 +509,7 @@ TEST(Monitoring, GmSummariesReachTheGl) {
   system.engine().run_until(system.engine().now() + 20.0);
   GroupManager* gl = system.leader();
   ASSERT_NE(gl, nullptr);
-  const auto infos = gl->gm_infos();
+  const auto infos = gl->leader()->gm_infos();
   ASSERT_EQ(infos.size(), 2u);
   for (const auto& info : infos) {
     EXPECT_DOUBLE_EQ(info.capacity.cpu(), 3.0);  // 3 LCs x 1.0 CPU each

@@ -144,7 +144,7 @@ TEST(Reconcile, NewGlFinishesReconciliationWithinWindow) {
 
   GroupManager* new_gl = system.leader();
   ASSERT_NE(new_gl, nullptr);
-  EXPECT_FALSE(new_gl->reconciling());
+  EXPECT_FALSE(new_gl->leader()->reconciling());
   EXPECT_EQ(new_gl->counters().reconciliations, 1u);
 
   const auto* hist =
@@ -157,6 +157,36 @@ TEST(Reconcile, NewGlFinishesReconciliationWithinWindow) {
   const auto* gauge = system.telemetry().metrics().find_gauge("failover.epoch");
   ASSERT_NE(gauge, nullptr);
   EXPECT_EQ(gauge->current(), static_cast<double>(new_gl->epoch()));
+}
+
+// A placement answered after its GL stepped down must not write into the
+// deposed node's idempotency book: the GL role's state ends with its term.
+TEST(Reconcile, DeposedLeaderHoldsNoGlStateAfterLatePlacement) {
+  SystemSpec spec = failover_spec();
+  spec.seed = 42;
+  SnoozeSystem system(spec);
+  system.start();
+  ASSERT_TRUE(system.run_until_stable(60.0));
+  GroupManager* gl = system.leader();
+  ASSERT_NE(gl, nullptr);
+  const std::uint64_t dispatches = gl->counters().dispatches;
+
+  system.client().submit(system.make_vm({0.1, 0.1, 0.1}));
+  // Step in small increments of our own clock: now() does not advance on a
+  // step with no events, so a loop on it could spin forever.
+  sim::Time t = system.engine().now();
+  const sim::Time deadline = t + 30.0;
+  while (gl->counters().dispatches == dispatches && t < deadline) {
+    t += 0.0005;
+    system.engine().run_until(t);
+  }
+  ASSERT_GT(gl->counters().dispatches, dispatches) << "the GL never dispatched";
+
+  // Depose the GL while its PlacementRequest is still in flight.
+  gl->begin_drain();
+  system.engine().run_until(system.engine().now() + 5.0);
+  EXPECT_FALSE(gl->is_leader());
+  EXPECT_EQ(gl->leader(), nullptr);
 }
 
 // The scripted acceptance scenario: isolate the GL mid-workload, let a

@@ -162,7 +162,10 @@ TEST(GrayFailure, SlowGmIsFlaggedByGlButNeverKilled) {
   slow_gm->set_service_stretch(4.0);
 
   ASSERT_TRUE(run_until(system, 90.0,
-                        [&] { return leader->gm_probation_count() >= 1; }))
+                        [&] {
+                          return leader->is_leader() &&
+                                 leader->leader()->gm_probation_count() >= 1;
+                        }))
       << "GL never flagged the slow GM";
 
   // Slow != dead: same leader, no election, no stepdown, the slow GM still
@@ -178,7 +181,10 @@ TEST(GrayFailure, SlowGmIsFlaggedByGlButNeverKilled) {
   // Hysteresis: once the GM recovers, the flag clears.
   slow_gm->set_service_stretch(1.0);
   EXPECT_TRUE(run_until(system, 180.0,
-                        [&] { return leader->gm_probation_count() == 0; }))
+                        [&] {
+                          return leader->is_leader() &&
+                                 leader->leader()->gm_probation_count() == 0;
+                        }))
       << "flag never cleared after recovery";
   EXPECT_EQ(system.gl_address(), gl);
 }

@@ -285,12 +285,12 @@ TEST(SubmissionBook, PrunesTerminatedEntries) {
   system.client().submit_all(vms, 0.2);
   system.engine().run_until(system.engine().now() + 5.0);
   ASSERT_NE(system.leader(), nullptr);
-  EXPECT_GT(system.leader()->submission_book_size(), 0u);
+  EXPECT_GT(system.leader()->leader()->submission_book_size(), 0u);
 
   // Lifetimes (8 s) expire, then the retention window (20 s) passes.
   system.engine().run_until(system.engine().now() + 60.0);
   ASSERT_NE(system.leader(), nullptr);
-  EXPECT_EQ(system.leader()->submission_book_size(), 0u);
+  EXPECT_EQ(system.leader()->leader()->submission_book_size(), 0u);
 }
 
 }  // namespace
